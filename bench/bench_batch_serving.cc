@@ -24,7 +24,6 @@
 #include "bench_util.hh"
 #include "common/rng.hh"
 #include "graph/batch_program.hh"
-#include "model/resnet.hh"
 #include "serve/server.hh"
 
 namespace tsp {
@@ -62,7 +61,7 @@ struct ServePoint
 
 /** One overload point: same stream, batching on or off. */
 ServePoint
-runServePoint(BatchProgramCache &cache, int batch_max, int n,
+runServePoint(serve::ModelRegistry &registry, int batch_max, int n,
               std::uint64_t seed)
 {
     ServerConfig cfg;
@@ -71,8 +70,8 @@ runServePoint(BatchProgramCache &cache, int batch_max, int n,
     cfg.batchMax = batch_max;
     // Generous join window: under overload the queue depth, not the
     // window, bounds batch formation.
-    cfg.batchWindowSec = 64.0 * cache.cyclesByBatch()[0] * 1e-9;
-    InferenceServer server(cache, cfg);
+    cfg.batchWindowSec = 64.0 * registry.cycles(0, 1) * 1e-9;
+    InferenceServer server({}, registry, cfg);
 
     const double service = server.serviceSec();
     const double rho = 2.0; // Overloaded: batching must help.
@@ -124,16 +123,19 @@ main(int argc, char **argv)
         "batch-B programs install weights once; cycles(B) is exact "
         "and strictly sublinear, outputs byte-identical to solo");
 
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    Rng warm_rng(7);
-    BatchProgramCache cache(g, randomInput(warm_rng), kMaxBatch);
+    serve::ModelSpec spec = bench::tinyNetSpec();
+    spec.maxBatch = kMaxBatch;
+    serve::ModelRegistry registry({spec});
+    BatchProgramCache &cache = registry.cache(0);
 
     const auto wall0 = std::chrono::steady_clock::now();
 
     // ------------------------------------------------------------
     // 1. The compile-time cycles(B) table.
     // ------------------------------------------------------------
-    const auto &cycles = cache.cyclesByBatch();
+    std::vector<Cycle> cycles;
+    for (int b = 1; b <= kMaxBatch; ++b)
+        cycles.push_back(cache.cycles(b));
     const std::uint64_t weight_placements =
         cache.get(1).lw->weightPlacements();
     std::printf("compiled cycles(B), tiny conv net (weights placed "
@@ -174,8 +176,8 @@ main(int argc, char **argv)
     std::uint64_t compared = 0, divergent = 0;
     {
         ChipConfig chip;
-        SessionBackend batched(cache, chip);
-        SessionBackend solo(cache, chip);
+        SessionBackend batched(cache.acquire(1), kMaxBatch, chip);
+        SessionBackend solo(cache.acquire(1), 1, chip);
         Rng rng(11);
         for (const int b : {2, 4, 8}) {
             std::vector<std::vector<std::int8_t>> inputs;
@@ -184,18 +186,19 @@ main(int argc, char **argv)
                 inputs.push_back(randomInput(rng));
             for (const auto &in : inputs)
                 ptrs.push_back(&in);
+            batched.bindProgram(cache.acquire(b));
             const RunResult rr = batched.serveBatch(ptrs, 100'000'000);
             const bool cycles_exact =
                 rr.completed &&
                 rr.cycles == cycles[static_cast<std::size_t>(b - 1)];
             for (int s = 0; s < b; ++s) {
-                solo.reset();
-                solo.writeInput(inputs[static_cast<std::size_t>(s)]);
+                solo.resetBatch(1);
+                solo.writeSample(0, inputs[static_cast<std::size_t>(s)]);
                 const RunResult sr = solo.runBounded(100'000'000);
                 ++compared;
                 if (!cycles_exact || !sr.completed ||
                     batched.readSample(s).data !=
-                        solo.readOutput().data) {
+                        solo.readSample(0).data) {
                     ++divergent;
                 }
             }
@@ -216,7 +219,7 @@ main(int argc, char **argv)
                 "rejected", "batches", "p99_us", "thpt_rps");
     std::vector<ServePoint> points;
     for (const int bm : {1, 2, 4, 8}) {
-        points.push_back(runServePoint(cache, bm, n,
+        points.push_back(runServePoint(registry, bm, n,
                                        3000 +
                                            static_cast<std::uint64_t>(
                                                bm)));

@@ -25,7 +25,6 @@
 
 #include "bench_util.hh"
 #include "common/rng.hh"
-#include "model/resnet.hh"
 #include "serve/server.hh"
 
 namespace tsp {
@@ -57,8 +56,7 @@ struct PointResult
  * (uncorrectable by SECDED).
  */
 PointResult
-runPoint(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
-         const LoweredTensor &out_slot, double rate,
+runPoint(serve::ModelRegistry &registry, double rate,
          double double_frac, int n)
 {
     ServerConfig cfg;
@@ -70,11 +68,10 @@ runPoint(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
     cfg.chip.fault.memWriteRate = rate;
     cfg.chip.fault.streamRate = rate;
     cfg.chip.fault.doubleBitFraction = double_frac;
-    InferenceServer server(lw, in_slot, out_slot, cfg);
+    InferenceServer server({}, registry, cfg);
 
-    const ActTensor &in = in_slot.t;
-    const std::size_t in_bytes =
-        static_cast<std::size_t>(in.height) * in.width * in.channels;
+    const Graph &g = registry.cache(0).graph();
+    const std::size_t in_bytes = registry.expectedInputBytes(0);
     const double service = server.serviceSec();
     const double mean_gap = service / 2.0; // rho = 1 on 2 workers.
 
@@ -106,7 +103,7 @@ runPoint(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
             ++p.served;
             if (r.completionSec > last_completion)
                 last_completion = r.completionSec;
-            ref::QTensor qin(in.height, in.width, in.channels);
+            ref::QTensor qin(8, 8, 4);
             qin.data = inputs[static_cast<std::size_t>(i)];
             const ref::QTensor want =
                 g.runReference(qin).at(g.outputNode());
@@ -161,20 +158,13 @@ main(int argc, char **argv)
         "SECDED corrects single-bit upsets in place; double-bit "
         "upsets machine-check and retry — never a corrupted serve");
 
-    Graph g = model::buildTinyNet(3, 8, 8, 4);
-    Rng rng(7);
-    std::vector<std::int8_t> input(8 * 8 * 4);
-    for (auto &v : input)
-        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(true);
-    const auto tensors = g.lower(lw, input);
-    const LoweredTensor &in_slot = tensors.at(0);
-    const LoweredTensor &out_slot = tensors.at(g.outputNode());
+    serve::ModelRegistry registry({bench::tinyNetSpec()});
+    const Cycle service_cycles = registry.cycles(0, 1);
 
     std::printf("model: tiny conv net, %llu cycles per inference; "
                 "pool: 2 chips, retry budget 2, %d requests/point, "
                 "double-bit fraction %.2f\n\n",
-                static_cast<unsigned long long>(lw.finishCycle()), n,
+                static_cast<unsigned long long>(service_cycles), n,
                 kDoubleFrac);
 
     const auto wall0 = std::chrono::steady_clock::now();
@@ -184,8 +174,7 @@ main(int argc, char **argv)
     std::vector<PointResult> points;
     for (const double rate :
          {0.0, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3}) {
-        points.push_back(runPoint(g, lw, in_slot, out_slot, rate,
-                                  kDoubleFrac, n));
+        points.push_back(runPoint(registry, rate, kDoubleFrac, n));
         printPoint(points.back());
     }
     const double wall =
@@ -196,8 +185,7 @@ main(int argc, char **argv)
     JsonWriter j;
     j.beginObject();
     j.kv("bench", "fault_injection");
-    j.kv("service_cycles",
-         static_cast<std::uint64_t>(lw.finishCycle()));
+    j.kv("service_cycles", static_cast<std::uint64_t>(service_cycles));
     j.kv("requests_per_point", static_cast<std::int64_t>(n));
     j.kv("double_bit_fraction", kDoubleFrac);
     j.key("points").beginArray();

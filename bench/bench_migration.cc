@@ -26,7 +26,6 @@
 
 #include "bench_util.hh"
 #include "common/rng.hh"
-#include "model/resnet.hh"
 #include "serve/server.hh"
 
 namespace tsp {
@@ -48,8 +47,7 @@ struct PolicyResult
 };
 
 PolicyResult
-runPolicy(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
-          const LoweredTensor &out_slot, bool migrate, int n)
+runPolicy(serve::ModelRegistry &registry, bool migrate, int n)
 {
     ServerConfig cfg;
     cfg.workers = 1;
@@ -61,11 +59,10 @@ runPolicy(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
     // the per-batch migration bound is exhausted.
     cfg.maxRetries = 64;
     cfg.migrateOnMachineCheck = migrate;
-    InferenceServer server(lw, in_slot, out_slot, cfg);
+    InferenceServer server({}, registry, cfg);
 
-    const ActTensor &in = in_slot.t;
-    const std::size_t in_bytes =
-        static_cast<std::size_t>(in.height) * in.width * in.channels;
+    const Graph &g = registry.cache(0).graph();
+    const std::size_t in_bytes = registry.expectedInputBytes(0);
     Rng rng(42);
     std::vector<std::vector<std::int8_t>> inputs;
     std::vector<std::future<Result>> futures;
@@ -86,7 +83,7 @@ runPolicy(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
         if (r.outcome != Outcome::Served)
             continue;
         ++p.served;
-        ref::QTensor qin(in.height, in.width, in.channels);
+        ref::QTensor qin(8, 8, 4);
         qin.data = inputs[static_cast<std::size_t>(i)];
         const ref::QTensor want =
             g.runReference(qin).at(g.outputNode());
@@ -115,21 +112,12 @@ main(int argc, char **argv)
         "restore the last pre-fault snapshot and resume, instead of "
         "re-running the condemned batch from cycle zero");
 
-    Graph g = model::buildTinyNet(3, 8, 8, 4);
-    Rng rng(7);
-    std::vector<std::int8_t> input(8 * 8 * 4);
-    for (auto &v : input)
-        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(true);
-    const auto tensors = g.lower(lw, input);
+    serve::ModelRegistry registry({bench::tinyNetSpec()});
+    const Cycle service_cycles = registry.cycles(0, 1);
 
     const auto wall0 = std::chrono::steady_clock::now();
-    const PolicyResult mig =
-        runPolicy(g, lw, tensors.at(0), tensors.at(g.outputNode()),
-                  /*migrate=*/true, n);
-    const PolicyResult ret =
-        runPolicy(g, lw, tensors.at(0), tensors.at(g.outputNode()),
-                  /*migrate=*/false, n);
+    const PolicyResult mig = runPolicy(registry, /*migrate=*/true, n);
+    const PolicyResult ret = runPolicy(registry, /*migrate=*/false, n);
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wall0)
@@ -138,7 +126,7 @@ main(int argc, char **argv)
     std::printf("model: tiny conv net, %llu cycles per inference; "
                 "%d requests per policy, double-bit stream strikes "
                 "at 2e-4/access\n\n",
-                static_cast<unsigned long long>(lw.finishCycle()), n);
+                static_cast<unsigned long long>(service_cycles), n);
     std::printf("  policy   served  mchecks recoveries  "
                 "total_chip_cycles\n");
     std::printf("  migrate  %6llu  %7llu %10llu  %17llu\n",
@@ -156,8 +144,7 @@ main(int argc, char **argv)
     j.beginObject();
     j.kv("bench", "migration");
     j.kv("requests", static_cast<std::int64_t>(n));
-    j.kv("service_cycles",
-         static_cast<std::uint64_t>(lw.finishCycle()));
+    j.kv("service_cycles", static_cast<std::uint64_t>(service_cycles));
     j.key("migrate")
         .beginObject()
         .kv("served", mig.served)

@@ -90,7 +90,7 @@ runDemo(bool preemption)
     cfg.preemption = preemption;
     cfg.sloClasses.push_back(SloClass{1.0, 0});
     cfg.sloClasses.push_back(SloClass{1.0, 1});
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
     const double svc = server.admission().serviceSec(1);
 
     // Low-priority leader opens a batch; the high-priority deadline
@@ -142,7 +142,7 @@ runSoak(int n)
     cfg.chip.fault.streamRate = 1e-6;
     cfg.chip.fault.doubleBitFraction = 0.2;
     cfg.chip.fault.seed = 7;
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
 
     Rng rng(1234);
     const double svc = server.admission().serviceSec(1);

@@ -175,7 +175,7 @@ main()
                 return std::make_unique<serve::PodBackend>(
                     n, wire, chip_cfg);
             },
-            service, cfg);
+            std::vector<Cycle>{service}, cfg);
         Rng rng(42);
         const double svc = server.serviceSec();
         double now = 0.0;

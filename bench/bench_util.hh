@@ -16,9 +16,29 @@
 #include <utility>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
+#include "model/resnet.hh"
+#include "serve/model_registry.hh"
 
 namespace tsp::bench {
+
+/**
+ * The tiny conv net the serving benches run, as a one-family registry
+ * spec: weight seed 3, 8x8x4 input, warm input drawn from Rng(7).
+ */
+inline serve::ModelSpec
+tinyNetSpec()
+{
+    serve::ModelSpec spec;
+    spec.name = "tiny";
+    spec.graph = model::buildTinyNet(3, 8, 8, 4);
+    Rng rng(7);
+    spec.warmInput.resize(8 * 8 * 4);
+    for (auto &v : spec.warmInput)
+        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
+    return spec;
+}
 
 /**
  * Order-independent mean of @p n samples: summed with FixedPointSum

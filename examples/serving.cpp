@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "common/rng.hh"
-#include "graph/graph.hh"
 #include "model/resnet.hh"
 #include "serve/server.hh"
 
@@ -25,21 +24,23 @@ main()
 {
     using namespace tsp;
 
-    // Compile once. The whole pool shares this program and image.
+    // A one-family registry compiles the model once; the whole pool
+    // shares its program and image.
     const int h = 8, w = 8, c = 4;
-    Graph g = model::buildTinyNet(/*seed=*/3, h, w, c);
     Rng rng(7);
     std::vector<std::int8_t> input(
         static_cast<std::size_t>(h) * w * c);
     for (auto &v : input)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(/*pipelined=*/true);
-    const auto tensors = g.lower(lw, input);
+    serve::ModelSpec spec;
+    spec.name = "tiny";
+    spec.graph = model::buildTinyNet(/*seed=*/3, h, w, c);
+    spec.warmInput = input;
+    serve::ModelRegistry registry({spec});
 
     serve::ServerConfig cfg;
     cfg.workers = 2;
-    serve::InferenceServer server(lw, tensors.at(0),
-                                  tensors.at(g.outputNode()), cfg);
+    serve::InferenceServer server({}, registry, cfg);
 
     const double service = server.serviceSec();
     std::printf("compiled: %llu cycles -> every inference takes "

@@ -32,9 +32,6 @@ Fleet::launchPod(double now_sec)
 {
     const int id = static_cast<int>(pods_.size());
     serve::ServerConfig sc = cfg_.server;
-    // Fleet determinism requires every request to execute on the
-    // engine its booking assumed (see ServerConfig::pinnedDispatch).
-    sc.pinnedDispatch = true;
     sc.onResult = [this](const serve::Result &r) {
         ts_.recordResult(r);
     };
@@ -42,27 +39,22 @@ Fleet::launchPod(double now_sec)
     pod.info.id = id;
     pod.info.state = PodState::Provisioning;
     pod.info.readyAtSec = now_sec + cfg_.autoscaler.provisionSec;
+    serve::BackendFactory factory;
+    if (cfg_.makeBackend != nullptr) {
+        factory = [this, id](int worker) {
+            return cfg_.makeBackend(id, worker);
+        };
+    }
     if (!cfg_.models.empty()) {
         // Multi-model pod: its own registry (compiled programs are
         // per-pod state, like the engines) over the shared specs.
         pod.registry = std::make_unique<serve::ModelRegistry>(
             cfg_.models, cfg_.registryBytes);
-        if (cfg_.makeBackend != nullptr) {
-            pod.server = std::make_unique<serve::InferenceServer>(
-                [this, id](int worker) {
-                    return cfg_.makeBackend(id, worker);
-                },
-                *pod.registry, sc);
-        } else {
-            pod.server = std::make_unique<serve::InferenceServer>(
-                *pod.registry, sc);
-        }
+        pod.server = std::make_unique<serve::InferenceServer>(
+            factory, *pod.registry, sc);
     } else {
         pod.server = std::make_unique<serve::InferenceServer>(
-            [this, id](int worker) {
-                return cfg_.makeBackend(id, worker);
-            },
-            cfg_.cyclesByBatch, sc);
+            factory, cfg_.cyclesByBatch, sc);
     }
     pods_.push_back(std::move(pod));
 }

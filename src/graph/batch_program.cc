@@ -32,6 +32,7 @@ BatchProgramCache::BatchProgramCache(
     TSP_ASSERT(max_batch >= 1);
     progs_.resize(static_cast<std::size_t>(max_batch));
     cycles_.assign(static_cast<std::size_t>(max_batch), 0);
+    imageBytes_.assign(static_cast<std::size_t>(max_batch), 0);
 }
 
 const std::shared_ptr<BatchProgram> &
@@ -40,8 +41,14 @@ BatchProgramCache::ensureLocked(int b) const
     TSP_ASSERT(b >= 1 && b <= static_cast<int>(progs_.size()));
     std::shared_ptr<BatchProgram> &slot =
         progs_[static_cast<std::size_t>(b - 1)];
-    if (slot)
-        return slot;
+    if (!slot)
+        slot = compileLocked(b);
+    return slot;
+}
+
+std::shared_ptr<BatchProgram>
+BatchProgramCache::compileLocked(int b) const
+{
     auto bp = std::make_shared<BatchProgram>();
     bp->batch = b;
     bp->lw = std::make_unique<Lowering>(pipelined_);
@@ -70,6 +77,8 @@ BatchProgramCache::ensureLocked(int b) const
     if (memo != 0)
         TSP_ASSERT(memo == bp->cycles);
     memo = bp->cycles;
+    imageBytes_[static_cast<std::size_t>(b - 1)] =
+        bp->lw->image().totalBytes();
     // cycles(B) must be exact and strictly monotone in B; checked
     // against every size whose count is already known.
     for (std::size_t i = 0; i < cycles_.size(); ++i) {
@@ -82,8 +91,7 @@ BatchProgramCache::ensureLocked(int b) const
             TSP_ASSERT(cycles_[i] > bp->cycles);
     }
     ++compiles_;
-    slot = std::move(bp);
-    return slot;
+    return bp;
 }
 
 BatchProgram &
@@ -117,6 +125,33 @@ BatchProgramCache::cycles(int batch) const
     if (memo != 0)
         return memo;
     return ensureLocked(batch)->cycles;
+}
+
+std::size_t
+BatchProgramCache::imageBytes(int batch) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (cycles_.at(static_cast<std::size_t>(batch - 1)) == 0)
+        ensureLocked(batch);
+    return imageBytes_[static_cast<std::size_t>(batch - 1)];
+}
+
+bool
+BatchProgramCache::timed(int batch) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return cycles_.at(static_cast<std::size_t>(batch - 1)) != 0;
+}
+
+void
+BatchProgramCache::time(int batch, std::size_t room) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (cycles_.at(static_cast<std::size_t>(batch - 1)) != 0)
+        return;
+    std::shared_ptr<BatchProgram> bp = compileLocked(batch);
+    if (bp->memoryBytes() <= room)
+        progs_[static_cast<std::size_t>(batch - 1)] = std::move(bp);
 }
 
 bool
@@ -163,15 +198,6 @@ BatchProgramCache::evict(int batch)
                batch <= static_cast<int>(progs_.size()));
     return std::exchange(
         progs_[static_cast<std::size_t>(batch - 1)], nullptr);
-}
-
-const std::vector<Cycle> &
-BatchProgramCache::cyclesByBatch() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int b = 1; b <= static_cast<int>(progs_.size()); ++b)
-        ensureLocked(b);
-    return cycles_;
 }
 
 } // namespace tsp

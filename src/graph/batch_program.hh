@@ -29,8 +29,7 @@
  * program via acquire(); evict(b) — used by the serving layer's
  * model registry to stay under a byte budget — only drops the
  * cache's own reference. get() references are stable only while the
- * slot is resident; callers that never evict (every pre-registry
- * call site) keep the old contract unchanged.
+ * slot is resident, which is always for callers that never evict.
  */
 
 #ifndef TSP_GRAPH_BATCH_PROGRAM_HH
@@ -99,6 +98,23 @@ class BatchProgramCache
      * value is memoized and survives eviction. */
     Cycle cycles(int batch) const;
 
+    /** @return bytes of @p batch's weight/constant image (what a
+     * host stages onto a chip), compiling on first use; memoized
+     * like cycles(). */
+    std::size_t imageBytes(int batch) const;
+
+    /** @return true once @p batch has compiled, i.e. its cycles and
+     * image bytes are memoized (resident or not). */
+    bool timed(int batch) const;
+
+    /**
+     * Memoizes @p batch's cycles and image bytes, compiling it if it
+     * never compiled. The fresh program stays resident only when its
+     * memoryBytes() fit in @p room, so a byte-budgeted owner's timing
+     * queries can never push it over budget.
+     */
+    void time(int batch, std::size_t room) const;
+
     /** @return true when @p batch's program is currently resident. */
     bool compiled(int batch) const;
 
@@ -120,18 +136,14 @@ class BatchProgramCache
      */
     std::shared_ptr<BatchProgram> evict(int batch);
 
-    /**
-     * Legacy eager accessor: compiles every remaining size, then
-     * returns the full exact-cycles table (cyclesByBatch()[b-1] =
-     * cycles(b)). New call sites should prefer cycles(b).
-     */
-    const std::vector<Cycle> &cyclesByBatch() const;
-
     const Graph &graph() const { return g_; }
 
   private:
     /** Compiles slot @p b if absent; requires mu_. */
     const std::shared_ptr<BatchProgram> &ensureLocked(int b) const;
+    /** Compiles batch @p b afresh, memoizing its timing, without
+     * touching its slot; requires mu_. */
+    std::shared_ptr<BatchProgram> compileLocked(int b) const;
 
     Graph g_;
     std::vector<std::int8_t> warm_;
@@ -142,6 +154,8 @@ class BatchProgramCache
     mutable std::vector<std::shared_ptr<BatchProgram>> progs_;
     /** cycles_[b-1]; 0 until first compiled, then exact forever. */
     mutable std::vector<Cycle> cycles_;
+    /** imageBytes_[b-1]; memoized with cycles_. */
+    mutable std::vector<std::size_t> imageBytes_;
     mutable std::uint64_t compiles_ = 0;
 };
 

@@ -19,38 +19,18 @@ Backend::serveBatch(
     return runBounded(max_cycles);
 }
 
-SessionBackend::SessionBackend(Lowering &lw, LoweredTensor input,
-                               LoweredTensor output, ChipConfig cfg)
-    : inputSlot_(std::move(input)), outputSlot_(std::move(output)),
-      sess_(lw, cfg), lwKey_(&lw)
-{
-}
-
-SessionBackend::SessionBackend(BatchProgramCache &cache,
-                               ChipConfig cfg)
-    : cache_(&cache), boundBp_(cache.acquire(1)),
-      sess_(*boundBp_->lw, boundBp_->prog, cfg)
-{
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
-}
-
 SessionBackend::SessionBackend(std::shared_ptr<BatchProgram> initial,
                                int max_batch, ChipConfig cfg)
     : boundBp_(std::move(initial)), maxBatch_(max_batch),
       sess_(*boundBp_->lw, boundBp_->prog, cfg)
 {
-    TSP_ASSERT(boundBp_ != nullptr);
     TSP_ASSERT(max_batch >= 1);
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
-    bound_ = boundBp_->batch;
 }
 
 int
 SessionBackend::maxBatch() const
 {
-    return cache_ ? cache_->maxBatch() : maxBatch_;
+    return maxBatch_;
 }
 
 void
@@ -64,16 +44,13 @@ SessionBackend::bindProgram(std::shared_ptr<BatchProgram> bp)
     // session re-stages the new image (the weight swap the booking
     // already paid for).
     boundBp_ = std::move(bp);
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
     sess_.bind(*boundBp_->lw, boundBp_->prog);
-    bound_ = boundBp_->batch;
 }
 
 std::size_t
 SessionBackend::expectedInputBytes() const
 {
-    const ActTensor &t = inputSlot_.t;
+    const ActTensor &t = boundBp_->inputs[0].t;
     return static_cast<std::size_t>(t.height) *
            static_cast<std::size_t>(t.width) *
            static_cast<std::size_t>(t.channels);
@@ -83,15 +60,9 @@ void
 SessionBackend::resetBatch(int batch)
 {
     TSP_ASSERT(batch >= 1 && batch <= maxBatch());
-    if (cache_ && batch != bound_) {
-        boundBp_ = cache_->acquire(batch);
-        sess_.bind(*boundBp_->lw, boundBp_->prog);
-        bound_ = batch;
-    }
-    // Multi-model mode: the worker loop bindProgram()s the job's
-    // pinned program first, so the armed batch size must already
-    // match here.
-    TSP_ASSERT(cache_ || !boundBp_ || bound_ == batch);
+    // The caller bindProgram()s the batch-@p batch program first, so
+    // the armed batch size must already match here.
+    TSP_ASSERT(boundBp_->batch == batch);
     sess_.reset();
 }
 
@@ -99,14 +70,8 @@ void
 SessionBackend::writeSample(int sample,
                             const std::vector<std::int8_t> &input)
 {
-    if (boundBp_) {
-        sess_.writeTensor(
-            boundBp_->inputs[static_cast<std::size_t>(sample)],
-            input);
-        return;
-    }
-    TSP_ASSERT(sample == 0);
-    sess_.writeTensor(inputSlot_, input);
+    sess_.writeTensor(
+        boundBp_->inputs[static_cast<std::size_t>(sample)], input);
 }
 
 void
@@ -116,18 +81,6 @@ SessionBackend::attachTraceCache(std::shared_ptr<TraceCache> t)
     sess_.enableReplay(traces_ != nullptr);
 }
 
-TraceKey
-SessionBackend::traceKey() const
-{
-    // Pointer identity alone would be an ABA hazard (a retired
-    // program's address can be reused by a different one); the chip's
-    // cached program content hash disambiguates.
-    const void *ptr = boundBp_
-                          ? static_cast<const void *>(sess_.program())
-                          : static_cast<const void *>(lwKey_);
-    return {ptr, sess_.chip().programHash()};
-}
-
 RunResult
 SessionBackend::runBounded(Cycle max_cycles)
 {
@@ -135,7 +88,10 @@ SessionBackend::runBounded(Cycle max_cycles)
         return sess_.runBounded(max_cycles);
     // Seed the session from the pool cache (another worker may have
     // recorded this program already); publish a fresh recording back.
-    const TraceKey key = traceKey();
+    // Pointer identity alone would be an ABA hazard (a retired
+    // program's address can be reused by a different one); the chip's
+    // cached program content hash disambiguates.
+    const TraceKey key(sess_.program(), sess_.chip().programHash());
     if (!sess_.trace())
         sess_.setTrace(traces_->find(key));
     const bool had = sess_.trace() != nullptr;
@@ -148,12 +104,8 @@ SessionBackend::runBounded(Cycle max_cycles)
 ref::QTensor
 SessionBackend::readSample(int sample) const
 {
-    if (boundBp_) {
-        return sess_.readTensor(
-            boundBp_->outputs[static_cast<std::size_t>(sample)]);
-    }
-    TSP_ASSERT(sample == 0);
-    return sess_.readTensor(outputSlot_);
+    return sess_.readTensor(
+        boundBp_->outputs[static_cast<std::size_t>(sample)]);
 }
 
 std::uint64_t

@@ -14,8 +14,7 @@
  * compiled batch-b program, writeSample/readSample stage and extract
  * per-sample data, and serveBatch() is the one-shot convenience the
  * worker loop uses. maxBatch() == 1 backends (the default) are plain
- * single-request engines; the legacy reset()/writeInput()/
- * readOutput() wrappers are batch-1 shorthands.
+ * single-request engines.
  */
 
 #ifndef TSP_SERVE_BACKEND_HH
@@ -140,7 +139,7 @@ class Backend
     virtual double rebuildPenaltySec() const { return 0.0; }
 
     /**
-     * Arms a registry-pinned compiled program (multi-model pools):
+     * Arms a registry-pinned compiled program (registry pools):
      * the worker loop hands each batch job's program — possibly a
      * different model family than the previous job — to the engine
      * before resetBatch(). Re-binding a different program re-stages
@@ -151,14 +150,6 @@ class Backend
     {
         TSP_ASSERT(!"backend does not support program binding");
     }
-
-    // Batch-1 shorthands (legacy call sites and simple clients).
-    void reset() { resetBatch(1); }
-    void writeInput(const std::vector<std::int8_t> &input)
-    {
-        writeSample(0, input);
-    }
-    ref::QTensor readOutput() const { return readSample(0); }
 
     /**
      * One attempt at a whole batch: rearms the batch-|inputs|
@@ -171,26 +162,21 @@ class Backend
 };
 
 /**
- * A single-chip backend over one compiled model, optionally with a
- * BatchProgramCache enabling multi-sample programs (weights installed
- * once per batch, per-sample activations — see graph/batch_program).
+ * A single-chip backend over compiled batch programs (weights
+ * installed once per batch, per-sample activations — see
+ * graph/batch_program). It runs whichever program was bound last;
+ * the server binds each batch job's registry-pinned program, so one
+ * backend serves every batch size of every model family.
  */
 class SessionBackend final : public Backend
 {
   public:
-    /** @param lw must outlive the backend (image re-read on reset). */
-    SessionBackend(Lowering &lw, LoweredTensor input,
-                   LoweredTensor output, ChipConfig cfg);
-
-    /** Batch-capable: @p cache must outlive the backend. */
-    SessionBackend(BatchProgramCache &cache, ChipConfig cfg);
-
     /**
-     * Multi-model form: starts bound to @p initial (pinned by the
-     * shared_ptr, so registry eviction cannot invalidate it) and
-     * re-binds whatever program each batch job carries via
-     * bindProgram(). @p max_batch is the largest batch any family
-     * compiles (per-family caps are enforced at admission).
+     * Starts bound to @p initial (pinned by the shared_ptr, so
+     * registry eviction cannot invalidate it) and re-binds whatever
+     * program each batch job carries via bindProgram(). @p max_batch
+     * is the largest batch any family compiles (per-family caps are
+     * enforced at admission).
      */
     SessionBackend(std::shared_ptr<BatchProgram> initial,
                    int max_batch, ChipConfig cfg);
@@ -238,26 +224,14 @@ class SessionBackend final : public Backend
     InferenceSession &session() { return sess_; }
 
   private:
-    LoweredTensor inputSlot_;
-    LoweredTensor outputSlot_;
-    BatchProgramCache *cache_ = nullptr;
-    /** Pinned program currently armed (batch-cache and multi-model
-     * modes); null in single-Lowering mode. */
+    /** Pinned program currently armed. */
     std::shared_ptr<BatchProgram> boundBp_;
-    int maxBatch_ = 1; ///< Multi-model mode's global batch cap.
-    int bound_ = 1;    ///< Batch size the session is bound to.
+    int maxBatch_ = 1;
     InferenceSession sess_;
+    /** Pool-shared traces, keyed by the bound program's shared
+     * AsmProgram (one entry per compiled program, shared by every
+     * worker that binds it). */
     std::shared_ptr<TraceCache> traces_;
-    /**
-     * Cache key for the currently bound program. Batch-cache backends
-     * key by the cache's shared AsmProgram (one entry per batch size,
-     * shared by every worker over the same BatchProgramCache);
-     * Lowering-backed backends key by the Lowering, which every
-     * worker of a pool shares even though each session compiled its
-     * own (identical) program copy.
-     */
-    TraceKey traceKey() const;
-    const Lowering *lwKey_ = nullptr;
 };
 
 /**

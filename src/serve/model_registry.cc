@@ -46,25 +46,36 @@ ModelRegistry::expectedInputBytes(int m) const
         .spec.warmInput.size();
 }
 
+const BatchProgramCache &
+ModelRegistry::timed(int m, int b) const
+{
+    const BatchProgramCache &c =
+        *models_.at(static_cast<std::size_t>(m)).cache;
+    if (!c.timed(b)) {
+        std::lock_guard<std::mutex> lock(mu_);
+        const std::size_t used = residentBytes();
+        c.time(b, used < budget_ ? budget_ - used : 0);
+    }
+    return c;
+}
+
 Cycle
 ModelRegistry::cycles(int m, int b) const
 {
-    return models_.at(static_cast<std::size_t>(m))
-        .cache->cycles(b);
+    return timed(m, b).cycles(b);
 }
 
 double
 ModelRegistry::swapSec(int m, int b) const
 {
-    const BatchProgram &bp =
-        models_.at(static_cast<std::size_t>(m)).cache->get(b);
-    return static_cast<double>(bp.lw->image().totalBytes()) /
+    return static_cast<double>(timed(m, b).imageBytes(b)) /
            kPcieGen4Bps;
 }
 
 std::shared_ptr<BatchProgram>
 ModelRegistry::acquire(int m, int b)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     Model &model = models_.at(static_cast<std::size_t>(m));
     std::shared_ptr<BatchProgram> bp = model.cache->acquire(b);
     model.lruStamp.at(static_cast<std::size_t>(b - 1)) = ++tick_;

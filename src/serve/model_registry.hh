@@ -26,6 +26,13 @@
  * lookup happened to miss on the fingerprint, pinning the shared
  * byte budget and evicting the hot model's traces.)
  *
+ * Timing queries never evict and never stamp the LRU clock. Their
+ * answers are memoized at compile time, so a query on a compiled
+ * (even since-evicted) program is free; a query on a size that never
+ * compiled compiles it once and keeps it resident only if it fits the
+ * remaining budget. Only acquire() can push residency toward the
+ * budget and evict.
+ *
  * Threading: acquire()/eviction and the LRU clock run on the
  * server's submit path (single-threaded under the submit lock), so
  * the eviction sequence — and therefore every registry counter in
@@ -96,13 +103,14 @@ class ModelRegistry
     std::size_t expectedInputBytes(int m) const;
 
     /** @return exact cycles of family @p m's batch-@p b program
-     * (compiles on first use; memoized forever). */
+     * (a timing query — see file comment). */
     Cycle cycles(int m, int b) const;
 
     /**
      * @return modeled seconds to re-stage family @p m's batch-@p b
      * weight/constant image over the host link when a worker
-     * switches model families (image bytes at PCIe Gen4 x16).
+     * switches model families (image bytes at PCIe Gen4 x16; a
+     * timing query — see file comment).
      */
     double swapSec(int m, int b) const;
 
@@ -152,7 +160,12 @@ class ModelRegistry
     };
 
     void evictOverBudget(int keep_m, int keep_b);
+    /** @return family @p m's cache with (m, b)'s timing memoized. */
+    const BatchProgramCache &timed(int m, int b) const;
 
+    /** Serializes residency changes: acquire()'s compile + eviction
+     * against a timing query's compile-if-it-fits. */
+    mutable std::mutex mu_;
     std::vector<Model> models_;
     std::size_t budget_;
     std::shared_ptr<TraceCache> traces_;

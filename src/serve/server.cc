@@ -6,79 +6,29 @@
 
 namespace tsp::serve {
 
-InferenceServer::InferenceServer(Lowering &lw, LoweredTensor input,
-                                 LoweredTensor output,
-                                 ServerConfig cfg)
-    : InferenceServer(
-          [&lw, &input, &output, &cfg](int) {
-              return std::make_unique<SessionBackend>(
-                  lw, input, output, cfg.chip);
-          },
-          lw.finishCycle(), cfg)
-{
-}
-
-InferenceServer::InferenceServer(BatchProgramCache &cache,
-                                 ServerConfig cfg)
-    : InferenceServer(
-          [&cache, &cfg](int) {
-              return std::make_unique<SessionBackend>(cache,
-                                                      cfg.chip);
-          },
-          1,
-          ModelTiming{
-              // Lazy pulls: a batch size the batcher never forms is
-              // never compiled (the cache memoizes exact cycles).
-              [&cache](int, int b) { return cache.cycles(b); },
-              [&cache](int) { return cache.maxBatch(); },
-              nullptr},
-          nullptr, cfg)
-{
-}
-
-InferenceServer::InferenceServer(const BackendFactory &factory,
-                                 Cycle service_cycles,
-                                 ServerConfig cfg)
-    : InferenceServer(factory, std::vector<Cycle>{service_cycles},
-                      cfg)
-{
-}
-
-InferenceServer::InferenceServer(const BackendFactory &factory,
-                                 std::vector<Cycle> cycles_by_batch,
-                                 ServerConfig cfg)
-    : InferenceServer(factory, 1,
-                      ModelTiming::fromTable(
-                          std::move(cycles_by_batch)),
-                      nullptr, cfg)
-{
-}
-
 namespace {
 
-/** Multi-model servers with > 1 family require pinned dispatch: the
- * weight swap a booking paid for must happen on the worker it was
- * booked on, or the staged-model tracking is fiction. */
-ServerConfig
-forceMultiModel(ServerConfig cfg, int models)
+/** One SessionBackend per worker, staged with family 0's batch-1
+ * program and able to bind any family's largest batch. */
+BackendFactory
+sessionFactory(ModelRegistry &registry, const ChipConfig &chip)
 {
-    if (models > 1)
-        cfg.pinnedDispatch = true;
-    return cfg;
+    return [&registry, &chip](int) {
+        int cap = 1;
+        for (int m = 0; m < registry.modelCount(); ++m)
+            cap = std::max(cap, registry.maxBatch(m));
+        return std::make_unique<SessionBackend>(registry.acquire(0, 1),
+                                                cap, chip);
+    };
 }
 
 } // namespace
 
-InferenceServer::InferenceServer(ModelRegistry &registry,
+InferenceServer::InferenceServer(const BackendFactory &factory,
+                                 ModelRegistry &registry,
                                  ServerConfig cfg)
     : InferenceServer(
-          [&registry, &cfg](int) {
-              int cap = 1;
-              for (int m = 0; m < registry.modelCount(); ++m)
-                  cap = std::max(cap, registry.maxBatch(m));
-              return std::make_unique<SessionBackend>(
-                  registry.acquire(0, 1), cap, cfg.chip);
-          },
+          factory ? factory : sessionFactory(registry, cfg.chip),
           registry.modelCount(),
           ModelTiming{
               [&registry](int m, int b) {
@@ -90,22 +40,17 @@ InferenceServer::InferenceServer(ModelRegistry &registry,
               // (conv-placement cache), so batch-1's image is the
               // family's staging cost.
               [&registry](int m) { return registry.swapSec(m, 1); }},
-          &registry, forceMultiModel(cfg, registry.modelCount()))
+          &registry, cfg)
 {
 }
 
 InferenceServer::InferenceServer(const BackendFactory &factory,
-                                 ModelRegistry &registry,
+                                 std::vector<Cycle> cycles_by_batch,
                                  ServerConfig cfg)
-    : InferenceServer(
-          factory, registry.modelCount(),
-          ModelTiming{
-              [&registry](int m, int b) {
-                  return registry.cycles(m, b);
-              },
-              [&registry](int m) { return registry.maxBatch(m); },
-              [&registry](int m) { return registry.swapSec(m, 1); }},
-          &registry, forceMultiModel(cfg, registry.modelCount()))
+    : InferenceServer(factory, 1,
+                      ModelTiming::fromTable(
+                          std::move(cycles_by_batch)),
+                      nullptr, cfg)
 {
 }
 
@@ -124,13 +69,12 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
     classes_ = cfg_.sloClasses;
     if (classes_.empty())
         classes_.push_back(SloClass{});
-    // One shared work-stealing queue, or one FIFO per worker under
-    // pinned dispatch (each sealed batch goes to the worker its
-    // booking assumed, so the engine that serves a request is a pure
+    // One FIFO per worker: each sealed batch goes to the worker its
+    // booking assumed (so the swap a booking paid for happens where
+    // it was booked, and the engine that serves a request is a pure
     // function of the admission history).
-    const int nq = cfg_.pinnedDispatch ? cfg_.workers : 1;
-    queues_.reserve(static_cast<std::size_t>(nq));
-    for (int q = 0; q < nq; ++q)
+    queues_.reserve(static_cast<std::size_t>(cfg_.workers));
+    for (int q = 0; q < cfg_.workers; ++q)
         queues_.push_back(std::make_unique<BoundedQueue<BatchJob>>(
             cfg_.queueCapacity));
     backends_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -407,9 +351,8 @@ InferenceServer::submitImpl(int model, int slo_class,
     // Backpressure check *before* booking so a full queue never
     // leaves a phantom reservation in the admission state. Only
     // submitters (serialized here) add to a queue, so a non-full
-    // observation cannot be invalidated before our push. Under
-    // pinned dispatch the relevant queue is the one this booking
-    // would land on.
+    // observation cannot be invalidated before our push. The
+    // relevant queue is the one this booking would land on.
     if (on_full == OnFull::Reject &&
         queueFor(admission_.bestWorkerFor(model, arrival_sec))
             .full())
@@ -574,9 +517,10 @@ InferenceServer::workerLoop(int w)
         if (!queueFor(w).pop(job))
             return; // Closed and drained.
 
-        // Multi-model: arm this family's compiled program before the
-        // batch touches the engine. The shared_ptr was pinned at seal
-        // time, so a registry eviction cannot free it mid-run.
+        // Arm this batch's compiled program (registry servers)
+        // before the batch touches the engine. The shared_ptr was
+        // pinned at seal time, so a registry eviction cannot free it
+        // mid-run.
         if (job.program)
             be.bindProgram(job.program);
 

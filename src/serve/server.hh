@@ -2,14 +2,19 @@
  * @file
  * InferenceServer: a multi-chip serving tier over the host runtime.
  *
- * One compiled Lowering is shared by a pool of worker threads, each
- * owning its own InferenceSession (one simulated chip). Requests
- * flow through a deadline-aware admission controller (exact, because
- * the schedule's cycle count is known before it runs — paper Eq. 4,
- * IV.F, V.c), then a bounded FIFO queue with backpressure, and are
- * executed by whichever worker frees up first. Per-request outcomes,
- * latency distributions and throughput are aggregated in
- * ServerMetrics and dumped as JSON.
+ * A pool of worker threads, each owning one execution engine (a
+ * Backend: one simulated chip, or a pod of chips), serves the
+ * compiled programs of a ModelRegistry — a single compiled model is
+ * simply a registry with one family. Fixed-program engines such as
+ * pods use the other constructor, which books against an exact
+ * cycles(b) table instead. Requests flow through a deadline-aware
+ * admission controller (exact, because the schedule's cycle count is
+ * known before it runs — paper Eq. 4, IV.F, V.c) that books each
+ * batch on one worker; the sealed batch goes to that worker's own
+ * bounded FIFO queue (backpressure is per worker), so the engine that
+ * serves a request is a pure function of the admission history.
+ * Per-request outcomes, latency distributions and throughput are
+ * aggregated in ServerMetrics and dumped as JSON.
  *
  * Batching: with batchMax > 1 (and a batch-capable backend), submit()
  * doubles as the batcher. The first admitted request *opens* a batch;
@@ -25,11 +30,11 @@
  * engine and retries the *whole batch* under the usual retry/deadline
  * policy; per-sample outputs are only read from a completed run.
  *
- * Multi-model: constructed over a ModelRegistry, one server holds N
- * compiled families. submitModel() routes each request; batches are
- * single-family; each sealed job carries a registry-pinned program
- * its worker binds before running (weight swaps between families
- * cost exactly the modeled image re-stage, which admission booked).
+ * Multi-model: one server holds every family of its registry.
+ * submitModel() routes each request; batches are single-family; each
+ * sealed job carries a registry-pinned program its worker binds
+ * before running (weight swaps between families cost exactly the
+ * modeled image re-stage, which admission booked on that worker).
  * Tenant SLO classes scale deadlines and rank priorities; with
  * preemption on, a higher-priority arrival that is infeasible behind
  * the open batch but feasible in its place takes the booking and the
@@ -99,7 +104,9 @@ struct ServerConfig
     /** Worker threads == simulated chips (>= 1). */
     int workers = 2;
 
-    /** Bounded request-queue capacity (backpressure point). */
+    /** Capacity of each worker's bounded batch queue (the
+     * backpressure point: a full queue rejects or blocks only the
+     * requests booked onto that worker). */
     std::size_t queueCapacity = 64;
 
     /**
@@ -165,19 +172,6 @@ struct ServerConfig
     double batchWindowSec = 0.0;
 
     /**
-     * Pinned dispatch: pin each sealed batch to the worker the admission
-     * controller booked it on (per-worker FIFO queues) instead of
-     * letting whichever worker frees up first take it. Throughput is
-     * unchanged (the booking already assumes the assignment), but the
-     * *physical* engine that executes each request becomes a pure
-     * function of the admission history — so with fault injection
-     * enabled, which request absorbs which upset replays identically
-     * run after run. The fleet soak layer requires this; default off
-     * preserves the legacy work-stealing behavior.
-     */
-    bool pinnedDispatch = false;
-
-    /**
      * Called once for every resolved request (all outcomes), after
      * it is recorded in the server metrics. Invoked from worker
      * threads and from the submitting thread (admission rejections),
@@ -233,64 +227,25 @@ class InferenceServer
     };
 
     /**
-     * Builds one chip per worker and emplaces @p lw on each.
-     *
-     * @param lw the fully built compiled model; must outlive the
-     *        server (sessions re-read its DMA image on reset).
-     * @param input the model's lowered input tensor (request data is
-     *        written here before each run).
-     * @param output the lowered output tensor read back per request.
-     */
-    InferenceServer(Lowering &lw, LoweredTensor input,
-                    LoweredTensor output, ServerConfig cfg = {});
-
-    /**
-     * Batch-capable form: every worker serves @p cache's compiled
-     * batch programs and the admission controller books against the
-     * exact cycles(b) table. @p cache must outlive the server.
-     */
-    explicit InferenceServer(BatchProgramCache &cache,
-                             ServerConfig cfg = {});
-
-    /**
-     * Generic form: one Backend per worker from @p factory, with
-     * @p service_cycles the exact per-request cycle count the
-     * admission controller books against (e.g.
-     * PodBackend::serviceCycles for a pod of chips).
+     * Serves every family of @p registry. One Backend per worker
+     * comes from @p factory; its backends must support
+     * bindProgram(). An empty factory builds one SessionBackend per
+     * worker, staged with family 0's batch-1 program. Batch jobs
+     * carry a registry-pinned program, weight swaps between families
+     * are booked exactly into admission, and submitModel() routes per
+     * request. @p registry must outlive the server.
      */
     InferenceServer(const BackendFactory &factory,
-                    Cycle service_cycles, ServerConfig cfg = {});
+                    ModelRegistry &registry, ServerConfig cfg = {});
 
     /**
-     * Generic batch-capable form: @p cycles_by_batch[b-1] is the
-     * exact cycle count of the batch-b program every backend from
-     * @p factory can run (e.g. PodBackend::serviceCyclesTable).
+     * Serves one fixed program per engine: @p cycles_by_batch[b-1]
+     * is the exact cycle count of the batch-b program every backend
+     * from @p factory runs (e.g. PodBackend::serviceCyclesTable).
      */
     InferenceServer(const BackendFactory &factory,
                     std::vector<Cycle> cycles_by_batch,
                     ServerConfig cfg = {});
-
-    /**
-     * Multi-model form: one server holds every family in
-     * @p registry. Each worker starts staged with family 0; batch
-     * jobs carry a registry-pinned program, weight swaps between
-     * families are booked exactly into admission, and
-     * submitModel() routes per request. With more than one family
-     * pinned dispatch is forced on — the swap a booking pays for
-     * must happen on the worker it was booked on. @p registry must
-     * outlive the server.
-     */
-    explicit InferenceServer(ModelRegistry &registry,
-                             ServerConfig cfg = {});
-
-    /**
-     * Multi-model form with operator-supplied backends (e.g. fault
-     * plans seeded per worker). Every backend must support
-     * bindProgram() — SessionBackend's (program, max_batch) ctor
-     * does. @p registry must outlive the server.
-     */
-    InferenceServer(const BackendFactory &factory,
-                    ModelRegistry &registry, ServerConfig cfg = {});
 
     /** Drains and joins the pool. */
     ~InferenceServer();
@@ -382,10 +337,11 @@ class InferenceServer
      * admission table and every backend's maxBatch). */
     int batchMax() const { return effBatchMax_; }
 
-    /** @return model families served (1 without a registry). */
+    /** @return model families served. */
     int models() const { return admission_.models(); }
 
-    /** @return the registry backing this server (null without one). */
+    /** @return the registry backing this server (null for a
+     * cycle-table server). */
     const ModelRegistry *registry() const { return registry_; }
 
     /** @return the admission controller (booking state + counters). */
@@ -443,13 +399,13 @@ class InferenceServer
         Admission booking; ///< Final sealed booking (whole batch).
         int model = 0;     ///< Model family the batch runs.
         int priority = 0;  ///< Highest member SLO priority.
-        /** Registry-pinned compiled program (null in single-model
+        /** Registry-pinned compiled program (null in cycle-table
          * servers): safe against eviction while the job is queued
          * or running. */
         std::shared_ptr<BatchProgram> program;
     };
 
-    /** Delegation target of every public constructor. */
+    /** Delegation target of both public constructors. */
     InferenceServer(const BackendFactory &factory, int models,
                     ModelTiming timing, ModelRegistry *registry,
                     ServerConfig cfg);
@@ -485,18 +441,17 @@ class InferenceServer
     /** @return the queue feeding worker @p w's batches. */
     BoundedQueue<BatchJob> &queueFor(int w)
     {
-        return *queues_[cfg_.pinnedDispatch
-                            ? static_cast<std::size_t>(w)
-                            : 0];
+        return *queues_[static_cast<std::size_t>(w)];
     }
 
     const ServerConfig cfg_;
-    ModelRegistry *registry_ = nullptr; ///< Null in single-model mode.
+    ModelRegistry *registry_ = nullptr; ///< Null for cycle tables.
     /** Effective SLO classes (cfg_.sloClasses or one default). */
     std::vector<SloClass> classes_;
 
     AdmissionController admission_;
-    /** One shared queue, or one per worker under pinnedDispatch. */
+    /** One FIFO per worker: each sealed batch runs on the worker
+     * its booking assumed. */
     std::vector<std::unique_ptr<BoundedQueue<BatchJob>>> queues_;
 
     std::vector<std::unique_ptr<Backend>> backends_;

@@ -18,6 +18,7 @@
 #include "model/resnet.hh"
 #include "runtime/session.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -100,15 +101,12 @@ TEST(ConcurrentDeterminism, ResetRerunMatchesFreshCompile)
 
 TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 {
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
+    test::TinyModel m;
     const auto input = randomInput(7);
-    Lowering lw(true);
-    const auto lowered = g.lower(lw, input);
 
     serve::ServerConfig cfg;
     cfg.workers = 4;
-    serve::InferenceServer server(lw, lowered.at(0),
-                                  lowered.at(g.outputNode()), cfg);
+    serve::InferenceServer server({}, m.reg, cfg);
 
     // The same input through different chips in the pool: byte-equal
     // outputs and cycle-equal service, regardless of which worker ran
@@ -123,7 +121,7 @@ TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 
     serve::Result first = futures[0].get();
     ASSERT_EQ(first.outcome, serve::Outcome::Served);
-    EXPECT_EQ(first.measuredCycles, lw.finishCycle());
+    EXPECT_EQ(first.measuredCycles, m.program().cycles);
     for (int i = 1; i < kN; ++i) {
         const serve::Result r =
             futures[static_cast<std::size_t>(i)].get();
@@ -136,15 +134,10 @@ TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 
 TEST(ConcurrentDeterminism, ServerPoolVaryingInputsMatchReference)
 {
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    const auto warm = randomInput(7);
-    Lowering lw(true);
-    const auto lowered = g.lower(lw, warm);
-
+    test::TinyModel m;
     serve::ServerConfig cfg;
     cfg.workers = 3;
-    serve::InferenceServer server(lw, lowered.at(0),
-                                  lowered.at(g.outputNode()), cfg);
+    serve::InferenceServer server({}, m.reg, cfg);
 
     constexpr int kN = 6;
     std::vector<std::vector<std::int8_t>> inputs;
@@ -161,10 +154,8 @@ TEST(ConcurrentDeterminism, ServerPoolVaryingInputsMatchReference)
         const serve::Result r =
             futures[static_cast<std::size_t>(i)].get();
         ASSERT_EQ(r.outcome, serve::Outcome::Served) << "req " << i;
-        ref::QTensor qin(kH, kW, kC);
-        qin.data = inputs[static_cast<std::size_t>(i)];
         const ref::QTensor want =
-            g.runReference(qin).at(g.outputNode());
+            m.reference(inputs[static_cast<std::size_t>(i)]);
         ASSERT_EQ(r.output.data.size(), want.data.size());
         EXPECT_EQ(r.output.data, want.data) << "req " << i;
     }

@@ -20,6 +20,7 @@
 #include "serve/admission.hh"
 #include "serve/request_queue.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -31,6 +32,7 @@ using serve::InferenceServer;
 using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
+using test::TinyModel;
 
 // ---------------------------------------------------------------
 // BoundedQueue
@@ -242,53 +244,13 @@ TEST(Admission, EarliestCompletionDoesNotBook)
 // InferenceServer end-to-end.
 // ---------------------------------------------------------------
 
-struct Compiled
-{
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
-    int h = 8, w = 8, c = 4;
-
-    explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
-    {
-        tensors = g.lower(lw, randomInput(input_seed));
-    }
-
-    std::vector<std::int8_t>
-    randomInput(std::uint64_t seed) const
-    {
-        Rng rng(seed);
-        std::vector<std::int8_t> data(
-            static_cast<std::size_t>(h) * w * c);
-        for (auto &v : data)
-            v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-        return data;
-    }
-
-    ref::QTensor
-    reference(const std::vector<std::int8_t> &input) const
-    {
-        ref::QTensor qin(h, w, c);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    }
-
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
-};
-
 TEST(Server, ServedRequestsMatchGoldenReference)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
-    EXPECT_EQ(server.serviceCycles(), m.lw.finishCycle());
+    InferenceServer server({}, m.reg, cfg);
+    EXPECT_EQ(server.serviceCycles(), m.program().cycles);
 
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
@@ -314,10 +276,10 @@ TEST(Server, ServedRequestsMatchGoldenReference)
 
 TEST(Server, InfeasibleDeadlineRejectedWithoutChipCycles)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     // Deadline = half a service: provably unmeetable.
     const double half = server.serviceSec() / 2;
@@ -342,12 +304,12 @@ TEST(Server, InfeasibleDeadlineRejectedWithoutChipCycles)
 
 TEST(Server, QueueFullBackpressureRejects)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.queueCapacity = 2;
     cfg.startPaused = true; // Workers gated: the queue must fill.
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     auto f1 = server.submit(m.randomInput(1), 0.0);
     auto f2 = server.submit(m.randomInput(2), 0.0);
@@ -364,12 +326,54 @@ TEST(Server, QueueFullBackpressureRejects)
     EXPECT_EQ(snap.counters().get("rejected_queue_full"), 1u);
 }
 
+TEST(Server, QueueFullBackpressureIsPerWorker)
+{
+    // Each worker owns a queue of queueCapacity batches; a request is
+    // refused only when the queue of the worker it would be booked
+    // on is full.
+    TinyModel m;
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.queueCapacity = 1;
+    cfg.startPaused = true;
+    InferenceServer server({}, m.reg, cfg);
+    const double svc = server.serviceSec();
+
+    // Booked on worker 0, then on worker 1 (free earlier): one batch
+    // in each queue.
+    auto f1 = server.submit(m.randomInput(1), 0.0);
+    auto f2 = server.submit(m.randomInput(2), 0.0);
+    EXPECT_EQ(server.queueDepth(), 2u);
+    // Worker 0 is the best booking for every later arrival (both
+    // workers free at svc, lowest index wins) and its queue is full.
+    auto f3 = server.submit(m.randomInput(3), 0.0);
+    auto f4 = server.submit(m.randomInput(4), 10.0 * svc);
+    for (auto *f : {&f3, &f4}) {
+        ASSERT_EQ(f->wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        EXPECT_EQ(f->get().outcome, Outcome::RejectedQueueFull);
+    }
+
+    server.resume();
+    const Result r1 = f1.get();
+    const Result r2 = f2.get();
+    EXPECT_EQ(r1.outcome, Outcome::Served);
+    EXPECT_EQ(r2.outcome, Outcome::Served);
+    // Both ran at once, on different workers.
+    EXPECT_DOUBLE_EQ(r1.startSec, 0.0);
+    EXPECT_DOUBLE_EQ(r2.startSec, 0.0);
+    server.drain();
+    const auto snap = server.metricsSnapshot();
+    EXPECT_EQ(snap.counters().get("served"), 2u);
+    EXPECT_EQ(snap.counters().get("rejected_queue_full"), 2u);
+}
+
 TEST(Server, CycleBudgetExhaustionPropagatesAsFailure)
 {
-    Compiled m;
+    TinyModel m;
 
     // Session-level: the explicit status replaces the old fatal().
-    InferenceSession sess(m.lw);
+    InferenceSession sess(*m.program().lw);
     const RunResult rr = sess.runBounded(/*max_cycles=*/10);
     EXPECT_FALSE(rr.completed);
     EXPECT_TRUE(sess.timedOut());
@@ -378,14 +382,14 @@ TEST(Server, CycleBudgetExhaustionPropagatesAsFailure)
     EXPECT_FALSE(sess.timedOut());
     const RunResult ok = sess.runBounded();
     EXPECT_TRUE(ok.completed);
-    EXPECT_EQ(ok.cycles, m.lw.finishCycle());
+    EXPECT_EQ(ok.cycles, m.program().cycles);
 
     // Server-level: the timeout surfaces as Outcome::Failed instead
     // of a bogus result.
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxCyclesPerRun = 10;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
     const Result r = server.submit(m.randomInput(4), 0.0).get();
     EXPECT_EQ(r.outcome, Outcome::Failed);
     EXPECT_EQ(server.metricsSnapshot().counters().get("failed"), 1u);
@@ -397,12 +401,12 @@ TEST(Server, ShutdownRejectsBlockedSubmitterWithRecordedMetrics)
     // shutdown used to fabricate its Result outside the metrics
     // path — the rejection was invisible in the counters and carried
     // no booking. It must be recorded like every other rejection.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.queueCapacity = 1;
     cfg.startPaused = true; // Gate the worker so the queue stays full.
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     auto f1 = server.submit(m.randomInput(1), 0.0, 0.0,
                             InferenceServer::OnFull::Block);
@@ -463,10 +467,10 @@ TEST(ServerMetrics, ThroughputWindowCountsOnlyServed)
 
 TEST(Server, MetricsJsonIsWellFormed)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
     for (int i = 0; i < 4; ++i) {
         server.submit(m.randomInput(static_cast<std::uint64_t>(i)),
                       static_cast<double>(i) * 1e-7);

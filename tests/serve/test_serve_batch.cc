@@ -13,13 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "common/rng.hh"
 #include "graph/batch_program.hh"
-#include "graph/graph.hh"
-#include "model/resnet.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -31,41 +29,7 @@ using serve::Outcome;
 using serve::PodBackend;
 using serve::Result;
 using serve::ServerConfig;
-using serve::SessionBackend;
-
-constexpr int kH = 8, kW = 8, kC = 4;
-
-std::vector<std::int8_t>
-randomInput(std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<std::int8_t> data(
-        static_cast<std::size_t>(kH) * kW * kC);
-    for (auto &v : data)
-        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    return data;
-}
-
-/** One compiled batch cache over the tiny net, shared per fixture. */
-struct BatchCompiled
-{
-    Graph g;
-    BatchProgramCache cache;
-
-    explicit BatchCompiled(int max_batch)
-        : g(model::buildTinyNet(3, kH, kW, kC)),
-          cache(g, randomInput(7), max_batch)
-    {
-    }
-
-    ref::QTensor
-    reference(const std::vector<std::int8_t> &input) const
-    {
-        ref::QTensor qin(kH, kW, kC);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    }
-};
+using test::TinyModel;
 
 // ---------------------------------------------------------------
 // BatchProgramCache — the compiler-side amortization claims.
@@ -73,9 +37,10 @@ struct BatchCompiled
 
 TEST(BatchProgram, PerSampleCyclesStrictlyDecrease)
 {
-    BatchCompiled m(8);
-    const auto &cycles = m.cache.cyclesByBatch();
-    ASSERT_EQ(cycles.size(), 8u);
+    TinyModel m(8);
+    std::vector<Cycle> cycles;
+    for (int b = 1; b <= 8; ++b)
+        cycles.push_back(m.reg.cycles(0, b));
     for (int b = 2; b <= 8; ++b) {
         const double per_prev =
             static_cast<double>(cycles[static_cast<std::size_t>(
@@ -97,21 +62,21 @@ TEST(BatchProgram, PerSampleCyclesStrictlyDecrease)
 
 TEST(BatchProgram, WeightInstallIsAmortized)
 {
-    BatchCompiled m(4);
+    TinyModel m(4);
     // The conv placement cache places each layer's weights exactly
     // once regardless of batch size — repeats reuse the tiles.
     const std::uint64_t solo =
-        m.cache.get(1).lw->weightPlacements();
+        m.reg.cache(0).get(1).lw->weightPlacements();
     ASSERT_GT(solo, 0u);
     for (int b = 2; b <= 4; ++b)
-        EXPECT_EQ(m.cache.get(b).lw->weightPlacements(), solo)
+        EXPECT_EQ(m.reg.cache(0).get(b).lw->weightPlacements(), solo)
             << "batch " << b;
 }
 
 TEST(BatchProgram, PerSampleSlotsAreDistinct)
 {
-    BatchCompiled m(4);
-    const BatchProgram &bp = m.cache.get(4);
+    TinyModel m(4);
+    const BatchProgram &bp = m.reg.cache(0).get(4);
     ASSERT_EQ(bp.inputs.size(), 4u);
     ASSERT_EQ(bp.outputs.size(), 4u);
     for (int a = 0; a < 4; ++a) {
@@ -208,19 +173,19 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
 {
     constexpr int kB = 4;
     constexpr int kRequests = 8;
-    BatchCompiled m(kB);
+    TinyModel m(kB);
 
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < kRequests; ++i)
         inputs.push_back(
-            randomInput(static_cast<std::uint64_t>(100 + i)));
+            m.randomInput(static_cast<std::uint64_t>(100 + i)));
 
     // Solo serves: batching disabled, one request per run.
     std::vector<ref::QTensor> solo;
     {
         ServerConfig cfg;
         cfg.workers = 1;
-        InferenceServer server(m.cache, cfg);
+        InferenceServer server({}, m.reg, cfg);
         EXPECT_EQ(server.batchMax(), 1);
         std::vector<std::future<Result>> futures;
         for (int i = 0; i < kRequests; ++i)
@@ -242,7 +207,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
     cfg.batchMax = kB;
     cfg.batchWindowSec = 1.0; // Everything may share a batch.
     cfg.startPaused = true;   // Batches must form, not race a worker.
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
     EXPECT_EQ(server.batchMax(), kB);
 
     std::vector<std::future<Result>> futures;
@@ -259,8 +224,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
         EXPECT_EQ(r.batch, kB) << "request " << i;
         // The determinism contract survives batching: the booking is
         // the exact cycles(B) and the run matches it.
-        EXPECT_EQ(r.predictedCycles,
-                  m.cache.cyclesByBatch()[kB - 1]);
+        EXPECT_EQ(r.predictedCycles, m.reg.cycles(0, kB));
         EXPECT_EQ(r.measuredCycles, r.predictedCycles);
         // Byte-for-byte identical to the solo serve and the golden
         // reference.
@@ -285,7 +249,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
 TEST(BatchServer, BitIdenticalUnderCorrectableFaults)
 {
     constexpr int kB = 4;
-    BatchCompiled m(kB);
+    TinyModel m(kB);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = kB;
@@ -297,14 +261,14 @@ TEST(BatchServer, BitIdenticalUnderCorrectableFaults)
     cfg.chip.fault.memReadRate = 0.02;
     cfg.chip.fault.memWriteRate = 0.02;
     cfg.chip.fault.doubleBitFraction = 0.0;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     constexpr int kRequests = 8;
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < kRequests; ++i) {
         inputs.push_back(
-            randomInput(static_cast<std::uint64_t>(i)));
+            m.randomInput(static_cast<std::uint64_t>(i)));
         futures.push_back(
             server.submit(inputs.back(),
                           static_cast<double>(i) * 1e-7));
@@ -331,14 +295,14 @@ TEST(BatchServer, BitIdenticalUnderCorrectableFaults)
 TEST(BatchServer, MidBatchMachineCheckFailsWholeBatch)
 {
     constexpr int kB = 4;
-    BatchCompiled m(kB);
+    TinyModel m(kB);
     // A double-bit (uncorrectable) scheduled fault pair on the first
     // word of sample 0's input, wired to cycle 0 so it replays on
     // every rebuilt chip: every attempt of every batch must
     // machine-check and *all* members fail together — never a
     // partial batch.
     const GlobalAddr a =
-        m.cache.get(kB).inputs[0].t.addrOf(0, 0, 0, 0);
+        m.reg.cache(0).get(kB).inputs[0].t.addrOf(0, 0, 0, 0);
     const int slice =
         (a.hem == Hemisphere::West ? 0 : kMemSlicesPerHem) + a.slice;
     ServerConfig cfg;
@@ -349,12 +313,12 @@ TEST(BatchServer, MidBatchMachineCheckFailsWholeBatch)
     cfg.maxRetries = 1;
     cfg.chip.fault.events = {{0, slice, a.addr, 0, 1},
                              {0, slice, a.addr, 0, 5}};
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     for (int i = 0; i < kB; ++i)
         futures.push_back(server.submit(
-            randomInput(static_cast<std::uint64_t>(i)),
+            m.randomInput(static_cast<std::uint64_t>(i)),
             static_cast<double>(i) * 1e-7));
     server.resume();
     server.drain();
@@ -378,7 +342,7 @@ TEST(BatchServer, MidBatchMachineCheckFailsWholeBatch)
 TEST(BatchServer, UncorrectableStrikesNeverServeCorruptedBatch)
 {
     constexpr int kB = 4;
-    BatchCompiled m(kB);
+    TinyModel m(kB);
     ServerConfig cfg;
     cfg.workers = 2;
     cfg.batchMax = kB;
@@ -387,14 +351,14 @@ TEST(BatchServer, UncorrectableStrikesNeverServeCorruptedBatch)
     cfg.chip.fault.seed = 0x5151ull;
     cfg.chip.fault.streamRate = 2e-4;
     cfg.chip.fault.doubleBitFraction = 1.0;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     constexpr int kRequests = 24;
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < kRequests; ++i) {
         inputs.push_back(
-            randomInput(static_cast<std::uint64_t>(200 + i)));
+            m.randomInput(static_cast<std::uint64_t>(200 + i)));
         futures.push_back(
             server.submit(inputs.back(),
                           static_cast<double>(i) * 1e-7));
@@ -424,13 +388,13 @@ TEST(BatchServer, UncorrectableStrikesNeverServeCorruptedBatch)
 TEST(BatchServer, WindowZeroBatchesOnlySameArrival)
 {
     constexpr int kB = 4;
-    BatchCompiled m(kB);
+    TinyModel m(kB);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = kB;
     cfg.batchWindowSec = 0.0;
     cfg.startPaused = true;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     // Two same-stamp pairs with distinct stamps between pairs: the
     // zero window seals at each stamp change, deterministically.
@@ -438,7 +402,7 @@ TEST(BatchServer, WindowZeroBatchesOnlySameArrival)
     const double stamps[4] = {0.0, 0.0, 1e-6, 1e-6};
     for (int i = 0; i < 4; ++i)
         futures.push_back(server.submit(
-            randomInput(static_cast<std::uint64_t>(i)), stamps[i]));
+            m.randomInput(static_cast<std::uint64_t>(i)), stamps[i]));
     server.resume();
     server.drain();
 
@@ -453,16 +417,16 @@ TEST(BatchServer, WindowZeroBatchesOnlySameArrival)
 
 TEST(BatchServer, BatchMaxOneIsPreBatchingBehavior)
 {
-    BatchCompiled m(2);
+    TinyModel m(2);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = 1;
     cfg.batchWindowSec = 1.0; // Ignored at batchMax 1.
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
     EXPECT_EQ(server.batchMax(), 1);
 
-    auto f1 = server.submit(randomInput(1), 0.0);
-    auto f2 = server.submit(randomInput(2), 0.0);
+    auto f1 = server.submit(m.randomInput(1), 0.0);
+    auto f2 = server.submit(m.randomInput(2), 0.0);
     server.drain();
     EXPECT_EQ(f1.get().batch, 1);
     EXPECT_EQ(f2.get().batch, 1);

@@ -3,7 +3,7 @@
  * Admission/shedding edge cases and the new serve-layer hooks:
  * zero ("no deadline") and already-expired deadlines, deadlines no
  * feasible batch size can meet, malformed-input rejection before
- * admission, pinned dispatch (fault outcomes replay identically
+ * admission, per-worker dispatch (fault outcomes replay identically
  * across runs), detached submission via the result callback, and
  * the fleet-facing admission accessors.
  */
@@ -183,16 +183,15 @@ TEST(ServeEdge, AdmissionAccessorsTrackBookings)
 
 TEST(ServeEdge, PinnedDispatchReplaysFaultOutcomes)
 {
-    // Under pinned dispatch each batch executes on the worker its
-    // booking assumed, so with fault injection live the sequence of
-    // per-request outcomes (including which requests absorb machine
-    // checks and how many retries they take) is a pure function of
+    // Each batch executes on the worker its booking assumed, so with
+    // fault injection live the sequence of per-request outcomes
+    // (including which requests absorb machine checks and how many
+    // retries they take) is a pure function of
     // the submission stream — identical across runs. This is the
     // property the fleet soak's byte-identical time series rests on.
     auto runOnce = [] {
         ServerConfig cfg;
         cfg.workers = 2;
-        cfg.pinnedDispatch = true;
         cfg.maxRetries = 2;
         cfg.chip.fault.memReadRate = 1e-2;
         cfg.chip.fault.memWriteRate = 1e-2;

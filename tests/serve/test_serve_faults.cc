@@ -9,13 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "model/resnet.hh"
 #include "runtime/session.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -24,58 +23,7 @@ using serve::InferenceServer;
 using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
-
-struct Compiled
-{
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
-    int h = 8, w = 8, c = 4;
-
-    explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
-    {
-        tensors = g.lower(lw, randomInput(input_seed));
-    }
-
-    std::vector<std::int8_t>
-    randomInput(std::uint64_t seed) const
-    {
-        Rng rng(seed);
-        std::vector<std::int8_t> data(
-            static_cast<std::size_t>(h) * w * c);
-        for (auto &v : data)
-            v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-        return data;
-    }
-
-    ref::QTensor
-    reference(const std::vector<std::int8_t> &input) const
-    {
-        ref::QTensor qin(h, w, c);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    }
-
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
-
-    /** A double-bit (uncorrectable) scheduled fault pair on the first
-     *  word of the model input — a word every inference reads. */
-    std::vector<FaultEvent>
-    poisonInputEvents() const
-    {
-        const GlobalAddr a = in().t.addrOf(0, 0, 0, 0);
-        const int slice =
-            (a.hem == Hemisphere::West ? 0 : kMemSlicesPerHem) +
-            a.slice;
-        return {{0, slice, a.addr, 0, 1}, {0, slice, a.addr, 0, 5}};
-    }
-};
+using test::TinyModel;
 
 TEST(ServeFaults, ScheduledDoubleBitFaultExhaustsRetries)
 {
@@ -83,12 +31,12 @@ TEST(ServeFaults, ScheduledDoubleBitFaultExhaustsRetries)
     // on every rebuilt chip: bounded retries must all machine-check
     // and the request must surface FailedMachineCheck — with no
     // output ever populated from a condemned chip.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2;
     cfg.maxRetries = 1;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     for (int i = 0; i < 4; ++i) {
@@ -124,12 +72,12 @@ TEST(ServeFaults, TightDeadlineForbidsRetry)
     // The deadline admits exactly one service time, so after the
     // machine check no retry fits: the request fails immediately
     // with zero retries even though the retry budget allows more.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 3;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0,
                            1.5 * server.serviceSec());
@@ -147,14 +95,14 @@ TEST(ServeFaults, RandomDoubleBitStrikesNeverServeCorrupted)
     // whose derived fault seed rolled no strike) or an explicit
     // FailedMachineCheck. A "served" result whose bytes differ from
     // the golden reference is the one forbidden outcome.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2;
     cfg.maxRetries = 2;
     cfg.chip.fault.seed = 0x5151ull;
     cfg.chip.fault.streamRate = 5e-4;
     cfg.chip.fault.doubleBitFraction = 1.0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     constexpr int kRequests = 24;
     std::vector<std::future<Result>> futures;
@@ -199,7 +147,7 @@ TEST(ServeFaults, SingleBitStrikesAreCorrectedAndReported)
 {
     // Correctable-only injection: everything serves bit-exactly on
     // the first attempt, and the corrections show up in the metrics.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2;
     // Read and write strikes only: each is corrected at the next
@@ -210,7 +158,7 @@ TEST(ServeFaults, SingleBitStrikesAreCorrectedAndReported)
     cfg.chip.fault.memReadRate = 0.02;
     cfg.chip.fault.memWriteRate = 0.02;
     cfg.chip.fault.doubleBitFraction = 0.0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     constexpr int kRequests = 8;
     std::vector<std::future<Result>> futures;

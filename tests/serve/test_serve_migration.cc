@@ -11,13 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "model/resnet.hh"
 #include "runtime/session.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -26,68 +25,17 @@ using serve::InferenceServer;
 using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
+using test::TinyModel;
 
-struct Compiled
+/** Random uncorrectable strikes; this seed condemns the first
+ *  attempt well after the default snapshot cadence. */
+void
+armRandomStrikes(ServerConfig &cfg)
 {
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
-    int h = 8, w = 8, c = 4;
-
-    explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
-    {
-        tensors = g.lower(lw, randomInput(input_seed));
-    }
-
-    std::vector<std::int8_t>
-    randomInput(std::uint64_t seed) const
-    {
-        Rng rng(seed);
-        std::vector<std::int8_t> data(
-            static_cast<std::size_t>(h) * w * c);
-        for (auto &v : data)
-            v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-        return data;
-    }
-
-    ref::QTensor
-    reference(const std::vector<std::int8_t> &input) const
-    {
-        ref::QTensor qin(h, w, c);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    }
-
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
-
-    /** Uncorrectable scheduled double-bit pair on the model input:
-     *  wired to cycle 0, so it replays on every rebuilt engine. */
-    std::vector<FaultEvent>
-    poisonInputEvents() const
-    {
-        const GlobalAddr a = in().t.addrOf(0, 0, 0, 0);
-        const int slice =
-            (a.hem == Hemisphere::West ? 0 : kMemSlicesPerHem) +
-            a.slice;
-        return {{0, slice, a.addr, 0, 1}, {0, slice, a.addr, 0, 5}};
-    }
-
-    /** Random uncorrectable strikes; this seed condemns the first
-     *  attempt well after the default snapshot cadence. */
-    void
-    armRandomStrikes(ServerConfig &cfg) const
-    {
-        cfg.chip.fault.seed = 0x5151ull;
-        cfg.chip.fault.streamRate = 5e-4;
-        cfg.chip.fault.doubleBitFraction = 1.0;
-    }
-};
+    cfg.chip.fault.seed = 0x5151ull;
+    cfg.chip.fault.streamRate = 5e-4;
+    cfg.chip.fault.doubleBitFraction = 1.0;
+}
 
 TEST(ServeMigration, CondemnedBatchCompletesWithinDeadline)
 {
@@ -95,13 +43,13 @@ TEST(ServeMigration, CondemnedBatchCompletesWithinDeadline)
     // the only way this request can be served is the snapshot
     // migration — and it must still meet the deadline it was
     // admitted under.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 0;
     cfg.migrateOnMachineCheck = true;
-    m.armRandomStrikes(cfg);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    armRandomStrikes(cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     const double service = server.serviceSec();
     const double deadline = 25.0 * service;
@@ -132,13 +80,13 @@ TEST(ServeMigration, WithoutMigrationSameFaultsFail)
 {
     // Control for the test above: identical fault environment and
     // retry budget, migration off — the batch is unrecoverable.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 0;
     cfg.migrateOnMachineCheck = false;
-    m.armRandomStrikes(cfg);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    armRandomStrikes(cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0,
                            25.0 * server.serviceSec());
@@ -155,15 +103,15 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     // of re-running from cycle zero. Same faults, same seed — the
     // migrating server must finish the request with strictly fewer
     // total chip cycles than the retrying server.
-    Compiled m;
+    TinyModel m;
     const std::vector<std::int8_t> input = m.randomInput(1);
 
     ServerConfig mig;
     mig.workers = 1;
     mig.maxRetries = 0;
     mig.migrateOnMachineCheck = true;
-    m.armRandomStrikes(mig);
-    InferenceServer migrate(m.lw, m.in(), m.out(), mig);
+    armRandomStrikes(mig);
+    InferenceServer migrate({}, m.reg, mig);
     auto fm = migrate.submit(input, 0.0);
     migrate.drain();
     ASSERT_EQ(fm.get().outcome, Outcome::Served);
@@ -171,7 +119,7 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     ServerConfig ret = mig;
     ret.maxRetries = 30; // This seed lineage needs ~25 full retries.
     ret.migrateOnMachineCheck = false;
-    InferenceServer retry(m.lw, m.in(), m.out(), ret);
+    InferenceServer retry({}, m.reg, ret);
     auto fr = retry.submit(input, 0.0);
     retry.drain();
     ASSERT_EQ(fr.get().outcome, Outcome::Served);
@@ -188,15 +136,15 @@ TEST(ServeMigration, RetryBookingChargesEngineRebuild)
     // estimate (start + 2*service) and the honest one
     // (start + 2*service + rebuild): the old code would have burned
     // a doomed retry; the fixed code must fail fast with zero.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 3;
     cfg.chip.fault.events = m.poisonInputEvents();
     const double rebuild =
-        InferenceSession(m.lw, cfg.chip).dmaSeconds();
+        InferenceSession(*m.program().lw, cfg.chip).dmaSeconds();
     ASSERT_GT(rebuild, 0.0);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     const double service = server.serviceSec();
     const double deadline = 2.0 * service + 0.5 * rebuild;
@@ -216,14 +164,14 @@ TEST(ServeMigration, NoSnapshotFallsBackToFullRetry)
     // nothing to restore and the worker must fall through to the
     // bounded full-retry policy (which replays the fault and
     // exhausts).
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 1;
     cfg.migrateOnMachineCheck = true;
     cfg.snapshotEveryCycles = 100'000'000;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0);
     server.drain();
@@ -238,14 +186,14 @@ TEST(ServeMigration, SnapshotCadenceAloneDoesNotPerturbServing)
 {
     // Arming periodic snapshots without any faults must not change a
     // single byte or booking relative to a plain server.
-    Compiled m;
+    TinyModel m;
     ServerConfig plain_cfg;
     plain_cfg.workers = 1;
     ServerConfig snap_cfg = plain_cfg;
     snap_cfg.snapshotEveryCycles = 97;
 
-    InferenceServer plain(m.lw, m.in(), m.out(), plain_cfg);
-    InferenceServer snapped(m.lw, m.in(), m.out(), snap_cfg);
+    InferenceServer plain({}, m.reg, plain_cfg);
+    InferenceServer snapped({}, m.reg, snap_cfg);
     const std::vector<std::int8_t> input = m.randomInput(2);
 
     auto fa = plain.submit(input, 0.0);

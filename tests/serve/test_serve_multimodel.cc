@@ -131,17 +131,19 @@ TEST(LazyBatchCompile, MemoizedCyclesSurviveEviction)
 /** Regression for the eager-compile bug: a server configured for
  * batches up to 4 must not compile size k until the first k-batch
  * actually forms. (Previously the server ctor compiled every size up
- * front via cyclesByBatch().) */
+ * front.) */
 TEST(LazyBatchCompile, ServerCompilesOnlyFormedBatchSizes)
 {
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    BatchProgramCache cache(g, randomInput(7), 4);
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("a", 3, 4));
+    ModelRegistry reg(std::move(specs));
+    const BatchProgramCache &cache = reg.cache(0);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = 4;
     cfg.batchWindowSec = 0.0; // No joining: every batch is size 1.
     {
-        InferenceServer server(cache, cfg);
+        InferenceServer server({}, reg, cfg);
         // Construction needs exactly batch-1 (the backend arms it
         // and admission prices a batch-1 service).
         EXPECT_EQ(cache.compiledCount(), 1u);
@@ -164,7 +166,7 @@ TEST(LazyBatchCompile, ServerCompilesOnlyFormedBatchSizes)
     // Now a 2-batch forms: size 2 compiles on first use.
     ServerConfig cfg2 = cfg;
     cfg2.batchWindowSec = 1.0;
-    InferenceServer server(cache, cfg2);
+    InferenceServer server({}, reg, cfg2);
     auto f0 = server.submit(randomInput(200), 0.0);
     auto f1 = server.submit(randomInput(201), 1e-7);
     server.flushOpenBatch();
@@ -237,6 +239,79 @@ TEST(ModelRegistryTest, EvictionEagerlyInvalidatesTraces)
     EXPECT_EQ(traces->memoryBytes(), 0u);
 }
 
+/** @return resident bytes of one tiny-net family's batch-1 program. */
+std::size_t
+batchOneBytes()
+{
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("calib", 3, 1));
+    ModelRegistry calib(std::move(specs));
+    calib.acquire(0, 1);
+    return calib.residentBytes();
+}
+
+/** Regression: swapSec() on an evicted family used to recompile it
+ * and leave it resident outside the LRU and the byte budget, so the
+ * next acquire() evicted it again. Timing queries and metrics reports
+ * must leave residency alone. */
+TEST(ModelRegistryTest, SwapQueriesAndReportsLeaveResidencyAlone)
+{
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("a", 3, 1));
+    specs.push_back(makeSpec("b", 11, 1));
+    // Room for one batch-1 program and a half.
+    ModelRegistry reg(std::move(specs), batchOneBytes() * 3 / 2);
+    ServerConfig cfg;
+    cfg.workers = 1;
+    InferenceServer server({}, reg, cfg); // Acquires (a, 1).
+    reg.acquire(1, 1);                    // Evicts (a, 1).
+    const std::uint64_t compiles = reg.compileCount();
+    const std::uint64_t evictions = reg.evictions();
+    EXPECT_EQ(compiles, 2u);
+    EXPECT_EQ(evictions, 1u);
+
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_GT(reg.swapSec(0, 1), 0.0);
+        EXPECT_LE(reg.residentBytes(), reg.budgetBytes());
+        reg.acquire(1, 1);
+    }
+    const std::string first = server.metricsJson();
+    EXPECT_EQ(server.metricsJson(), first);
+
+    EXPECT_EQ(reg.compileCount(), compiles);
+    EXPECT_EQ(reg.evictions(), evictions);
+    EXPECT_FALSE(reg.compiled(0, 1));
+    EXPECT_LE(reg.residentBytes(), reg.budgetBytes());
+}
+
+TEST(ModelRegistryTest, TimingQueryKeepsAFreshCompileOnlyWithinBudget)
+{
+    // A size that never compiled must compile once to be timed; the
+    // program stays resident only if it fits the remaining budget,
+    // and the query never evicts.
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("a", 3, 2));
+    ModelRegistry tight(specs, batchOneBytes() * 3 / 2);
+    tight.acquire(0, 1);
+    const std::size_t resident = tight.residentBytes();
+    const Cycle c2 = tight.cycles(0, 2);
+    EXPECT_GT(c2, tight.cycles(0, 1));
+    EXPECT_FALSE(tight.compiled(0, 2));
+    EXPECT_TRUE(tight.compiled(0, 1));
+    EXPECT_EQ(tight.residentBytes(), resident);
+    EXPECT_EQ(tight.evictions(), 0u);
+    EXPECT_EQ(tight.compileCount(), 2u);
+    // Memoized: asking again compiles nothing.
+    EXPECT_EQ(tight.cycles(0, 2), c2);
+    EXPECT_GT(tight.swapSec(0, 2), 0.0);
+    EXPECT_EQ(tight.compileCount(), 2u);
+
+    ModelRegistry roomy(std::move(specs));
+    EXPECT_EQ(roomy.cycles(0, 2), c2);
+    EXPECT_TRUE(roomy.compiled(0, 2));
+    EXPECT_EQ(roomy.compileCount(), 1u);
+}
+
 // ---------------------------------------------------------------
 // Satellite bugfix: metrics schema v2 emits every outcome counter.
 // ---------------------------------------------------------------
@@ -275,7 +350,7 @@ TEST(MultiModelServe, TwoFamiliesServeTheirOwnReference)
     ModelRegistry reg(std::move(specs));
     ServerConfig cfg;
     cfg.workers = 2;
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
     ASSERT_EQ(server.models(), 2);
 
     std::vector<std::future<Result>> fa, fb;
@@ -317,7 +392,7 @@ TEST(MultiModelServe, SwapCostBookedExactlyIntoAdmission)
     ASSERT_GT(swap1, 0.0);
     ServerConfig cfg;
     cfg.workers = 1;
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
 
     // Worker starts staged with family 0: no swap.
     Result r0 = server.submitModel(0, 0, randomInput(1), 0.0).get();
@@ -354,7 +429,7 @@ TEST(MultiModelServe, InvalidModelClassAndInputAreRejected)
     ModelRegistry reg(std::move(specs));
     ServerConfig cfg;
     cfg.workers = 1;
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
 
     EXPECT_EQ(server.submitModel(-1, 0, randomInput(1), 0.0)
                   .get()
@@ -388,7 +463,7 @@ TEST(MultiModelServe, SloClassScalesDeadlineSlack)
     cfg.workers = 1;
     cfg.sloClasses.push_back(SloClass{1.0, 0});
     cfg.sloClasses.push_back(SloClass{0.5, 1});
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
     const double svc = server.admission().serviceSec(1);
 
     // Occupy the worker until svc.
@@ -430,7 +505,8 @@ struct PreemptRig
         cfg.preemption = preemption;
         cfg.sloClasses.push_back(SloClass{1.0, 0});
         cfg.sloClasses.push_back(SloClass{1.0, 1});
-        server = std::make_unique<InferenceServer>(*reg, cfg);
+        server = std::make_unique<InferenceServer>(
+            serve::BackendFactory{}, *reg, cfg);
         svc1 = server->admission().serviceSec(1);
     }
 };
@@ -521,7 +597,7 @@ TEST(Preemption, PreemptedBatchRetriesThroughMachineCheck)
     cfg.chip.fault.streamRate = 5e-4;
     cfg.chip.fault.doubleBitFraction = 1.0;
     cfg.chip.fault.seed = 0x5151ull;
-    InferenceServer server(reg, cfg);
+    InferenceServer server({}, reg, cfg);
     const double svc = server.admission().serviceSec(1);
 
     auto fa = server.submitModel(0, 0, randomInput(1), 0.0);
@@ -547,63 +623,8 @@ TEST(Preemption, PreemptedBatchRetriesThroughMachineCheck)
 }
 
 // ---------------------------------------------------------------
-// Reduction to the single-model server, and determinism.
+// Determinism.
 // ---------------------------------------------------------------
-
-TEST(MultiModelReduction, OneFamilyNoPreemptionBitIdenticalToPr8)
-{
-    // Same graph, same stream: a one-family registry server with
-    // preemption off must produce byte-identical serving metrics to
-    // the plain BatchProgramCache server.
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    const auto warm = randomInput(3 ^ 0x5eedu);
-    BatchProgramCache cache(g, warm, 2);
-
-    std::vector<ModelSpec> specs;
-    specs.push_back(makeSpec("a", 3, 2));
-    ModelRegistry reg(std::move(specs));
-
-    ServerConfig cfg;
-    cfg.workers = 2;
-    cfg.batchMax = 2;
-    cfg.batchWindowSec = 2e-7;
-    cfg.pinnedDispatch = true;
-
-    auto drive = [&](InferenceServer &server) {
-        Rng rng(42);
-        const double svc = server.admission().serviceSec(1);
-        double now = 0.0;
-        std::vector<std::future<Result>> fs;
-        for (int i = 0; i < 60; ++i) {
-            now += -std::log(1.0 - rng.nextDouble()) * svc * 0.4;
-            fs.push_back(server.submit(
-                randomInput(static_cast<std::uint64_t>(i)), now,
-                now + 3.0 * svc,
-                InferenceServer::OnFull::Block));
-        }
-        server.drain();
-        std::string outcomes;
-        for (auto &f : fs) {
-            const Result r = f.get();
-            outcomes += outcomeName(r.outcome);
-            outcomes += ',';
-            outcomes += std::to_string(r.completionSec);
-            outcomes += ';';
-        }
-        return outcomes + "|" + metricsStr(server.metricsSnapshot());
-    };
-
-    std::string a, b;
-    {
-        InferenceServer s(cache, cfg);
-        a = drive(s);
-    }
-    {
-        InferenceServer s(reg, cfg);
-        b = drive(s);
-    }
-    EXPECT_EQ(a, b);
-}
 
 TEST(MixedSoak, SameSeedByteIdenticalWithFaultsLive)
 {
@@ -629,7 +650,7 @@ TEST(MixedSoak, SameSeedByteIdenticalWithFaultsLive)
         cfg.chip.fault.streamRate = 1e-6;
         cfg.chip.fault.doubleBitFraction = 0.2;
         cfg.chip.fault.seed = 7;
-        InferenceServer server(reg, cfg);
+        InferenceServer server({}, reg, cfg);
         Rng rng(1234);
         const double svc = server.admission().serviceSec(1);
         double now = 0.0;

@@ -66,7 +66,7 @@ makePodServer(int chips, Cycle wire, const ServerConfig &cfg)
             return std::make_unique<PodBackend>(chips, wire,
                                                 chip_cfg);
         },
-        service, cfg);
+        std::vector<Cycle>{service}, cfg);
 }
 
 TEST(ServePod, ServesExactReductionsWithExactBookings)
@@ -201,21 +201,21 @@ TEST(ServePod, UncorrectableLinkFaultsNeverServeCorrupted)
 TEST(ServePod, PodBackendRebuildsAfterMachineCheck)
 {
     // Backend-level check of the condemn-and-rebuild path: a pod that
-    // machine-checks reports it, and reset() produces a fresh pod
+    // machine-checks reports it, and resetBatch() produces a fresh pod
     // (rebuild counter advances, clocks restart).
     ChipConfig cfg;
     cfg.fault.seed = 0x2bull;
     cfg.fault.c2cRate = 0.9;
     cfg.fault.doubleBitFraction = 1.0;
     PodBackend be(3, 17, cfg);
-    be.writeInput(randomPodInput(3, 1));
+    be.writeSample(0, randomPodInput(3, 1));
     const RunResult r = be.runBounded(1'000'000);
     ASSERT_FALSE(r.completed);
     ASSERT_EQ(r.status, RunStatus::MachineCheck);
     EXPECT_GE(be.machineCheckCount(), 1u);
     EXPECT_GE(be.session().machineCheckChip(), 0);
 
-    be.reset();
+    be.resetBatch(1);
     EXPECT_EQ(be.rebuilds(), 1);
     EXPECT_FALSE(be.session().pod().machineCheck());
 }

@@ -14,10 +14,8 @@
 #include <algorithm>
 
 #include "common/rng.hh"
-#include "graph/batch_program.hh"
-#include "graph/graph.hh"
-#include "model/resnet.hh"
 #include "serve/server.hh"
+#include "tiny_model.hh"
 
 namespace tsp {
 namespace {
@@ -27,60 +25,21 @@ using serve::Outcome;
 using serve::PodBackend;
 using serve::Result;
 using serve::ServerConfig;
-
-constexpr int kH = 8, kW = 8, kC = 4;
-
-std::vector<std::int8_t>
-randomInput(std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<std::int8_t> data(
-        static_cast<std::size_t>(kH) * kW * kC);
-    for (auto &v : data)
-        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    return data;
-}
-
-struct Compiled
-{
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
-
-    Compiled() : g(model::buildTinyNet(3, kH, kW, kC))
-    {
-        tensors = g.lower(lw, randomInput(7));
-    }
-
-    ref::QTensor
-    reference(const std::vector<std::int8_t> &input) const
-    {
-        ref::QTensor qin(kH, kW, kC);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    }
-
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
-};
+using test::TinyModel;
 
 TEST(ServeReplay, PoolSharesTracesAndMatchesReference)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 2; // traceCacheBytes defaults on.
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     constexpr int kRequests = 8;
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < kRequests; ++i) {
         inputs.push_back(
-            randomInput(100 + static_cast<std::uint64_t>(i)));
+            m.randomInput(100 + static_cast<std::uint64_t>(i)));
         futures.push_back(server.submit(
             inputs.back(), static_cast<double>(i) * 1e-7));
     }
@@ -118,17 +77,17 @@ TEST(ServeReplay, PoolSharesTracesAndMatchesReference)
 
 TEST(ServeReplay, ZeroBudgetDisablesTheTier)
 {
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.traceCacheBytes = 0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < 3; ++i) {
         inputs.push_back(
-            randomInput(200 + static_cast<std::uint64_t>(i)));
+            m.randomInput(200 + static_cast<std::uint64_t>(i)));
         futures.push_back(server.submit(
             inputs.back(), static_cast<double>(i) * 1e-7));
     }
@@ -152,19 +111,19 @@ TEST(ServeReplay, FaultInjectionGatesReplayOff)
     // Correctable-only stream injection: every request still serves,
     // but the sessions must refuse to record or replay — a trace is
     // only valid for a fault-free timeline.
-    Compiled m;
+    TinyModel m;
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.chip.fault.seed = 0x5151ull;
     cfg.chip.fault.streamRate = 5e-4;
     cfg.chip.fault.doubleBitFraction = 0.0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server({}, m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     for (int i = 0; i < 3; ++i) {
         inputs.push_back(
-            randomInput(300 + static_cast<std::uint64_t>(i)));
+            m.randomInput(300 + static_cast<std::uint64_t>(i)));
         futures.push_back(server.submit(
             inputs.back(), static_cast<double>(i) * 1e-7));
     }
@@ -189,26 +148,19 @@ TEST(ServeReplay, BatchServerKeepsOneTracePerBatchProgram)
     // the rebind invalidates the session's held trace, so the batch-1
     // program records once and replays once. Two programs -> two
     // resident traces.
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    BatchProgramCache cache(g, randomInput(7), 2);
+    TinyModel m(2);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = 2;
-    InferenceServer server(cache, cfg);
+    InferenceServer server({}, m.reg, cfg);
     ASSERT_EQ(server.batchMax(), 2);
-
-    auto reference = [&g](const std::vector<std::int8_t> &input) {
-        ref::QTensor qin(kH, kW, kC);
-        qin.data = input;
-        return g.runReference(qin).at(g.outputNode());
-    };
 
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
     // Same-stamp pairs join one batch (window 0 batches equal stamps).
     for (int i = 0; i < 6; ++i) {
         inputs.push_back(
-            randomInput(400 + static_cast<std::uint64_t>(i)));
+            m.randomInput(400 + static_cast<std::uint64_t>(i)));
         futures.push_back(server.submit(
             inputs.back(), static_cast<double>(i / 2) * 1e-6));
     }
@@ -220,7 +172,7 @@ TEST(ServeReplay, BatchServerKeepsOneTracePerBatchProgram)
     // Distinct-stamp singles run the batch-1 program.
     for (int i = 6; i < 8; ++i) {
         inputs.push_back(
-            randomInput(400 + static_cast<std::uint64_t>(i)));
+            m.randomInput(400 + static_cast<std::uint64_t>(i)));
         futures.push_back(server.submit(
             inputs.back(), 1e-3 + static_cast<double>(i) * 1e-6));
     }
@@ -235,7 +187,7 @@ TEST(ServeReplay, BatchServerKeepsOneTracePerBatchProgram)
         ASSERT_EQ(r.outcome, Outcome::Served) << "request " << i;
         EXPECT_EQ(r.measuredCycles, r.predictedCycles);
         EXPECT_EQ(r.output.data,
-                  reference(inputs[static_cast<std::size_t>(i)]).data)
+                  m.reference(inputs[static_cast<std::size_t>(i)]).data)
             << "request " << i;
     }
     EXPECT_EQ(server.metricsSnapshot().predictionMismatches(), 0u);
@@ -285,7 +237,7 @@ TEST(ServeReplay, PodServerReplaysTheCollective)
             return std::make_unique<PodBackend>(kChips, kWire,
                                                 chip_cfg);
         },
-        service, cfg);
+        std::vector<Cycle>{service}, cfg);
 
     constexpr int kRequests = 4;
     std::vector<std::future<Result>> futures;

@@ -17,7 +17,8 @@
  *     --rho R           offered load vs pool capacity (default 1.2)
  *     --slack S         deadline = arrival + S * service; 0 = none
  *                                                    (default 4)
- *     --queue N         bounded queue capacity       (default 64)
+ *     --queue N         bounded queue capacity per engine
+ *                                                    (default 64)
  *     --model-seed S    tiny-net weight seed         (default 3)
  *     --seed S          request-stream seed          (default 1)
  *     --json FILE       also write the report as JSON
@@ -36,21 +37,21 @@
  *     --snapshot-every N
  *                       snapshot cadence in cycles (default with
  *                       --migrate-on-mc: service cycles / 8)
- *     --batch-max N     largest batch submit() may form; compiles
- *                       one batch-b program per b = 1..N so the
- *                       admission controller books the exact
- *                       cycles(b) (default 1 = batching off)
+ *     --batch-max N     largest batch submit() may form; a batch-b
+ *                       program compiles when a size-b batch first
+ *                       forms, and the admission controller books
+ *                       its exact cycles(b) (default 1 = batching
+ *                       off)
  *     --batch-window-us U
  *                       how long (virtual us) after a batch
  *                       leader's arrival later requests may still
  *                       join its batch            (default 0)
  *     --model NAME=SEED[:HxWxC]
- *                       register a model family (repeatable). With
- *                       one or more --model flags the server runs
- *                       multi-model: one registry holds every
- *                       family, requests spread across them, and
- *                       weight swaps are booked exactly into
- *                       admission (default shape 8x8x4)
+ *                       register a model family (repeatable) in
+ *                       place of the default tiny net: one registry
+ *                       holds every family, requests spread across
+ *                       them, and weight swaps are booked exactly
+ *                       into admission (default shape 8x8x4)
  *     --registry-mb N   compiled-program byte budget, MiB; LRU
  *                       eviction (with eager trace invalidation)
  *                       above it               (default unbounded)
@@ -236,16 +237,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Compile once; the pool shares the lowered program and image.
-    const int h = 8, w = 8, c = 4;
-    Graph g = model::buildTinyNet(model_seed, h, w, c);
+    // The default family's warm input comes from the request-stream
+    // generator, ahead of the first request.
     Rng rng(seed);
-    std::vector<std::int8_t> warm(
-        static_cast<std::size_t>(h) * w * c);
+    std::vector<std::int8_t> warm(8 * 8 * 4);
     for (auto &v : warm)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(/*pipelined=*/true);
-    const auto tensors = g.lower(lw, warm);
 
     serve::ServerConfig cfg;
     cfg.workers = workers;
@@ -270,14 +267,36 @@ main(int argc, char **argv)
         cfg.sloClasses.push_back(serve::SloClass{0.5, 1});
     }
 
-    std::unique_ptr<BatchProgramCache> cache;
     std::unique_ptr<serve::ModelRegistry> registry;
     std::unique_ptr<serve::InferenceServer> server_p;
-    if (!model_args.empty()) {
-        // Multi-model: one registry holds every family; programs
-        // compile lazily on first use of each (model, batch) pair.
+    if (pod_chips >= 2) {
+        // Each worker owns an N-chip ring pod serving the statically
+        // scheduled all-reduce; the collective's exact cycles(b) are
+        // calibrated once per batch size on a fault-free pod.
+        const std::vector<Cycle> table =
+            serve::PodBackend::serviceCyclesTable(
+                pod_chips, wire_latency, cfg.chip, batch_max);
+        const ChipConfig chip_cfg = cfg.chip;
+        server_p = std::make_unique<serve::InferenceServer>(
+            [pod_chips, wire_latency, chip_cfg,
+             batch_max](int) -> std::unique_ptr<serve::Backend> {
+                return std::make_unique<serve::PodBackend>(
+                    pod_chips, wire_latency, chip_cfg, batch_max);
+            },
+            table, cfg);
+    } else {
+        // One registry holds every family (the default tiny net when
+        // no --model is given); programs compile lazily on first use
+        // of each (model, batch) pair.
         std::vector<serve::ModelSpec> specs;
-        specs.reserve(model_args.size());
+        if (model_args.empty()) {
+            serve::ModelSpec sp;
+            sp.name = "tiny";
+            sp.graph = model::buildTinyNet(model_seed, 8, 8, 4);
+            sp.warmInput = warm;
+            sp.maxBatch = batch_max;
+            specs.push_back(std::move(sp));
+        }
         for (const ModelArg &ma : model_args) {
             serve::ModelSpec sp;
             sp.name = ma.name;
@@ -298,35 +317,10 @@ main(int argc, char **argv)
                 ? static_cast<std::size_t>(registry_mb) << 20
                 : serve::ModelRegistry::kDefaultBudget);
         server_p = std::make_unique<serve::InferenceServer>(
-            *registry, cfg);
-    } else if (pod_chips >= 2) {
-        // Each worker owns an N-chip ring pod serving the statically
-        // scheduled all-reduce; the collective's exact cycles(b) are
-        // calibrated once per batch size on a fault-free pod.
-        const std::vector<Cycle> table =
-            serve::PodBackend::serviceCyclesTable(
-                pod_chips, wire_latency, cfg.chip, batch_max);
-        const ChipConfig chip_cfg = cfg.chip;
-        server_p = std::make_unique<serve::InferenceServer>(
-            [pod_chips, wire_latency, chip_cfg,
-             batch_max](int) -> std::unique_ptr<serve::Backend> {
-                return std::make_unique<serve::PodBackend>(
-                    pod_chips, wire_latency, chip_cfg, batch_max);
-            },
-            table, cfg);
-    } else if (batch_max > 1) {
-        // Compile one batch-b program per b <= batch_max: weights
-        // install once per batch, per-sample activations repeat.
-        cache = std::make_unique<BatchProgramCache>(g, warm,
-                                                    batch_max);
-        server_p =
-            std::make_unique<serve::InferenceServer>(*cache, cfg);
-    } else {
-        server_p = std::make_unique<serve::InferenceServer>(
-            lw, tensors.at(0), tensors.at(g.outputNode()), cfg);
+            serve::BackendFactory{}, *registry, cfg);
     }
     serve::InferenceServer &server = *server_p;
-    if (registry) {
+    if (!model_args.empty()) {
         std::printf("model registry: %d families, budget %s\n",
                     registry->modelCount(),
                     registry_mb > 0 ? "bounded" : "unbounded");
@@ -366,8 +360,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         server.serviceCycles()),
                     server.serviceSec() * 1e6);
-        std::printf("pool: %d pod%s of %d chips, queue capacity %zu, "
-                    "offered load %.2f x capacity%s\n",
+        std::printf("pool: %d pod%s of %d chips, queue capacity %zu "
+                    "each, offered load %.2f x capacity%s\n",
                     workers, workers == 1 ? "" : "s", pod_chips,
                     queue_cap, rho,
                     slack_services > 0.0 ? "" : ", no deadlines");
@@ -377,8 +371,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         server.serviceCycles()),
                     server.serviceSec() * 1e6);
-        std::printf("pool: %d chip%s, queue capacity %zu, offered "
-                    "load %.2f x capacity%s\n",
+        std::printf("pool: %d chip%s, queue capacity %zu each, "
+                    "offered load %.2f x capacity%s\n",
                     workers, workers == 1 ? "" : "s", queue_cap, rho,
                     slack_services > 0.0 ? "" : ", no deadlines");
     }
@@ -393,9 +387,6 @@ main(int argc, char **argv)
     const double service = server.serviceSec();
     const double mean_gap =
         service / (rho * static_cast<double>(workers));
-    const std::size_t input_len =
-        pod_chips >= 2 ? serve::PodBackend::inputBytes(pod_chips)
-                       : static_cast<std::size_t>(h) * w * c;
     double now = 0.0;
     std::vector<std::future<serve::Result>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
@@ -408,24 +399,20 @@ main(int argc, char **argv)
         if (!cfg.sloClasses.empty() && hipri > 0.0 &&
             rng.nextDouble() < hipri)
             tenant = 1;
-        const std::size_t len =
-            registry ? registry->expectedInputBytes(m) : input_len;
-        std::vector<std::int8_t> data(len);
+        std::vector<std::int8_t> data(
+            registry ? registry->expectedInputBytes(m)
+                     : serve::PodBackend::inputBytes(pod_chips));
         for (auto &v : data)
             v = static_cast<std::int8_t>(rng.intIn(-100, 100));
         // Slack is measured in this family's own service times.
-        const double svc =
-            registry ? server.admission().serviceSecFor(m, 1)
-                     : service;
         const double deadline =
-            slack_services > 0.0 ? now + slack_services * svc : 0.0;
-        futures.push_back(
-            registry ? server.submitModel(
-                           m, tenant, std::move(data), now, deadline,
-                           serve::InferenceServer::OnFull::Block)
-                     : server.submit(
-                           std::move(data), now, deadline,
-                           serve::InferenceServer::OnFull::Block));
+            slack_services > 0.0
+                ? now + slack_services *
+                            server.admission().serviceSecFor(m, 1)
+                : 0.0;
+        futures.push_back(server.submitModel(
+            m, tenant, std::move(data), now, deadline,
+            serve::InferenceServer::OnFull::Block));
     }
     server.drain();
 
