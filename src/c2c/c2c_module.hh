@@ -75,6 +75,14 @@ class C2cModule
     /** @return vectors waiting in link @p link's elastic buffer. */
     std::size_t pendingRx(int link) const;
 
+    /**
+     * @return true when a vector waiting in any elastic rx buffer
+     * carries an uncorrectable ECC error: a flight strike lands at
+     * delivery, but the receiver raises the machine check only when
+     * it consumes the vector.
+     */
+    bool uncorrectableInFlight() const;
+
     /** @return the stream access point (CSR counters). */
     const StreamIo &io() const { return io_; }
 

@@ -9,7 +9,10 @@
  * chip i+1) on one core-clock domain. Because every chip is
  * deterministic and the links are deskewed once, multi-chip programs
  * need no handshakes: the compiler schedules Sends on one chip and
- * Receives on another to the exact arrival cycle.
+ * Receives on another to the exact arrival cycle. A single TSP is the
+ * pod of one: no ring links, and the chip is exactly the one its
+ * ChipConfig describes, so one-chip and multi-chip engines share one
+ * run path.
  *
  * Two execution modes, bit-identical in cycles, stats, energy and
  * memory contents:
@@ -48,11 +51,14 @@ class Pod
     static constexpr int kLeftLink = 0;  ///< From chip (i-1+n) % n.
 
     /**
-     * @param chips number of chips (>= 2).
-     * @param wire_latency link flight time in cycles.
-     * @param cfg applied to every chip; each chip's fault seed is
-     *        derived from cfg.fault.seed and its ring index so
-     *        members do not replay identical upset sequences.
+     * @param chips number of chips (>= 1).
+     * @param wire_latency link flight time in cycles (unused by a
+     *        pod of one, which has no links).
+     * @param cfg applied to every chip. With two or more chips each
+     *        chip's fault seed is derived from cfg.fault.seed and its
+     *        ring index so members do not replay identical upset
+     *        sequences; a lone chip keeps cfg unchanged, fault seed
+     *        included.
      */
     Pod(int chips, Cycle wire_latency, ChipConfig cfg = {});
 

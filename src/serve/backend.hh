@@ -28,7 +28,6 @@
 #include "compiler/lowering.hh"
 #include "graph/batch_program.hh"
 #include "ref/qnn.hh"
-#include "runtime/pod_session.hh"
 #include "runtime/session.hh"
 
 namespace tsp::serve {
@@ -162,37 +161,28 @@ class Backend
 };
 
 /**
- * A single-chip backend over compiled batch programs (weights
- * installed once per batch, per-sample activations — see
- * graph/batch_program). It runs whichever program was bound last;
- * the server binds each batch job's registry-pinned program, so one
- * backend serves every batch size of every model family.
+ * The Backend surface every engine over one InferenceSession shares:
+ * bounded runs, record/replay against the pool trace cache, rebuild
+ * and migration, and member-summed reliability counters. Derived
+ * backends only choose the programs and stage/read sample data.
  */
-class SessionBackend final : public Backend
+class SessionBackendBase : public Backend
 {
   public:
-    /**
-     * Starts bound to @p initial (pinned by the shared_ptr, so
-     * registry eviction cannot invalidate it) and re-binds whatever
-     * program each batch job carries via bindProgram(). @p max_batch
-     * is the largest batch any family compiles (per-family caps are
-     * enforced at admission).
-     */
-    SessionBackend(std::shared_ptr<BatchProgram> initial,
-                   int max_batch, ChipConfig cfg);
-
-    int maxBatch() const override;
-    std::size_t expectedInputBytes() const override;
-    void resetBatch(int batch) override;
-    void writeSample(int sample,
-                     const std::vector<std::int8_t> &input) override;
-    RunResult runBounded(Cycle max_cycles) override;
-    ref::QTensor readSample(int sample) const override;
+    RunResult
+    runBounded(Cycle max_cycles) override
+    {
+        return sess_.runBounded(max_cycles);
+    }
     std::uint64_t correctedErrors() const override;
     std::uint64_t machineCheckCount() const override;
-    Cycle totalCycles() const override;
+    Cycle totalCycles() const override { return sess_.totalCycles(); }
     int rebuilds() const override { return sess_.rebuilds(); }
-    void attachTraceCache(std::shared_ptr<TraceCache> t) override;
+    void
+    attachTraceCache(std::shared_ptr<TraceCache> t) override
+    {
+        sess_.attachTraceCache(std::move(t));
+    }
     std::uint64_t replayCount() const override
     {
         return sess_.replayCount();
@@ -214,24 +204,57 @@ class SessionBackend final : public Backend
         return sess_.migrateAndResume(max_cycles);
     }
     int migrations() const override { return sess_.migrations(); }
+    /** The DMA re-transfer of a lowered model's image; pod inputs
+     * are backdoor-staged, so their rebuilds carry none. */
     double rebuildPenaltySec() const override
     {
         return sess_.dmaSeconds();
     }
-    void bindProgram(std::shared_ptr<BatchProgram> bp) override;
 
     /** @return the underlying session (tests). */
     InferenceSession &session() { return sess_; }
+
+  protected:
+    explicit SessionBackendBase(InferenceSession sess)
+        : sess_(std::move(sess))
+    {
+    }
+
+    InferenceSession sess_;
+};
+
+/**
+ * A single-chip backend over compiled batch programs (weights
+ * installed once per batch, per-sample activations — see
+ * graph/batch_program). It runs whichever program was bound last;
+ * the server binds each batch job's registry-pinned program, so one
+ * backend serves every batch size of every model family.
+ */
+class SessionBackend final : public SessionBackendBase
+{
+  public:
+    /**
+     * Starts bound to @p initial (pinned by the shared_ptr, so
+     * registry eviction cannot invalidate it) and re-binds whatever
+     * program each batch job carries via bindProgram(). @p max_batch
+     * is the largest batch any family compiles (per-family caps are
+     * enforced at admission).
+     */
+    SessionBackend(std::shared_ptr<BatchProgram> initial,
+                   int max_batch, ChipConfig cfg);
+
+    int maxBatch() const override;
+    std::size_t expectedInputBytes() const override;
+    void resetBatch(int batch) override;
+    void writeSample(int sample,
+                     const std::vector<std::int8_t> &input) override;
+    ref::QTensor readSample(int sample) const override;
+    void bindProgram(std::shared_ptr<BatchProgram> bp) override;
 
   private:
     /** Pinned program currently armed. */
     std::shared_ptr<BatchProgram> boundBp_;
     int maxBatch_ = 1;
-    InferenceSession sess_;
-    /** Pool-shared traces, keyed by the bound program's shared
-     * AsmProgram (one entry per compiled program, shared by every
-     * worker that binds it). */
-    std::shared_ptr<TraceCache> traces_;
 };
 
 /**
@@ -242,7 +265,7 @@ class SessionBackend final : public Backend
  * holds one compiled batched collective per batch size (samples
  * pipelined around the ring — see c2c/collective.hh).
  */
-class PodBackend final : public Backend
+class PodBackend final : public SessionBackendBase
 {
   public:
     PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
@@ -275,47 +298,12 @@ class PodBackend final : public Backend
     void resetBatch(int batch) override;
     void writeSample(int sample,
                      const std::vector<std::int8_t> &input) override;
-    RunResult runBounded(Cycle max_cycles) override;
     ref::QTensor readSample(int sample) const override;
-    std::uint64_t correctedErrors() const override;
-    std::uint64_t machineCheckCount() const override;
-    Cycle totalCycles() const override;
-    int rebuilds() const override { return sess_.rebuilds(); }
-    void attachTraceCache(std::shared_ptr<TraceCache> t) override;
-    std::uint64_t replayCount() const override
-    {
-        return sess_.replayCount();
-    }
-    std::uint64_t recordCount() const override
-    {
-        return sess_.recordCount();
-    }
-    void enableSnapshots(Cycle every) override
-    {
-        sess_.enableSnapshots(every);
-    }
-    bool canMigrate() const override
-    {
-        return sess_.lastSnapshot() != nullptr;
-    }
-    RunResult migrateAndResume(Cycle max_cycles) override
-    {
-        return sess_.migrateAndResume(max_cycles);
-    }
-    int migrations() const override { return sess_.migrations(); }
-    // Pod inputs are backdoor-staged; rebuilds carry no modeled DMA.
-
-    /** @return the underlying pod session (tests). */
-    PodSession &session() { return sess_; }
 
   private:
-    PodSession sess_;
     /** progs_[b-1]: the compiled batch-b collective. */
-    std::vector<std::vector<AsmProgram>> progs_;
-    /** progHashes_[b-1]: content fingerprint for the trace key. */
-    std::vector<std::uint64_t> progHashes_;
-    int bound_ = 1; ///< Batch size currently loaded.
-    std::shared_ptr<TraceCache> traces_;
+    std::vector<InferenceSession::Programs> progs_;
+    int bound_ = 1; ///< Batch size currently bound.
 };
 
 } // namespace tsp::serve

@@ -26,7 +26,7 @@
  * written outside any StreamIo (kTapeUntagged), or a cycle offset
  * overflowing 32 bits. Callers must not record with fault injection
  * armed — an injector mutates consumed values in ways the tape does
- * not capture (InferenceSession/PodSession gate on this).
+ * not capture (InferenceSession gates on this).
  */
 
 #ifndef TSP_SIM_EXEC_TRACE_HH

@@ -1,6 +1,7 @@
 #include "stream/fabric.hh"
 
 #include "common/logging.hh"
+#include "mem/ecc.hh"
 
 namespace tsp {
 
@@ -344,6 +345,35 @@ StreamFabric::clear()
     pendingCycles_ = {};
     pendingCount_ = 0;
     overflow_.clear();
+}
+
+bool
+StreamFabric::uncorrectableInFlight() const
+{
+    const auto bad = [](Vec320 v) {
+        return eccCheckVec(v) == EccStatus::Uncorrectable;
+    };
+    for (const Ring &r : rings_) {
+        if (r.validInRing == 0)
+            continue;
+        for (const Entry &e : r.slots) {
+            if (e.valid && bad(e.vec))
+                return true;
+        }
+    }
+    for (const PendingBatch &b : pendingRing_) {
+        for (const PendingWrite &w : b.writes) {
+            if (bad(w.vec))
+                return true;
+        }
+    }
+    for (const auto &[when, writes] : overflow_) {
+        for (const PendingWrite &w : writes) {
+            if (bad(w.vec))
+                return true;
+        }
+    }
+    return false;
 }
 
 } // namespace tsp

@@ -145,6 +145,13 @@ class StreamFabric
     /** Invalidates every entry of every stream (between programs). */
     void clear();
 
+    /**
+     * @return true when a valid stream entry or a scheduled write
+     * carries an uncorrectable ECC error that no consumer has checked
+     * yet (e.g. a C2C flight strike a Receive forwarded raw).
+     */
+    bool uncorrectableInFlight() const;
+
     /** @return number of valid vectors currently flowing chip-wide. */
     std::uint64_t validEntries() const { return validCount_; }
 

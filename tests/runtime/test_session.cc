@@ -1,11 +1,13 @@
 /**
  * @file
  * Host runtime: DMA-time model, latency accounting, tensor readback
- * geometry, and back-to-back sessions on fresh chips.
+ * geometry, back-to-back sessions on fresh chips, and the one-chip
+ * session as a pod of one.
  */
 
 #include <gtest/gtest.h>
 
+#include "c2c/pod.hh"
 #include "common/rng.hh"
 #include "model/resnet.hh"
 #include "runtime/session.hh"
@@ -82,6 +84,101 @@ TEST(Session, CustomClockScalesLatencyOnly)
     const Cycle cycles = sess.run();
     EXPECT_DOUBLE_EQ(sess.latencySeconds(),
                      static_cast<double>(cycles) / 900e6);
+}
+
+/** @return @p t read back from a bare chip (readTensor's layout). */
+std::vector<std::int8_t>
+readBare(const Chip &chip, const LoweredTensor &t)
+{
+    const ActTensor &at = t.t;
+    std::vector<std::int8_t> out;
+    for (int y = 0; y < at.height; ++y) {
+        for (int x = 0; x < at.width; ++x) {
+            for (int c = 0; c < at.channels; ++c) {
+                const GlobalAddr a =
+                    at.addrOf(at.ownerOf(y), y, x, c / kMxmDim);
+                const Vec320 v =
+                    chip.mem(a.hem, a.slice).backdoorRead(a.addr);
+                out.push_back(static_cast<std::int8_t>(
+                    v.bytes[static_cast<std::size_t>(c % kMxmDim)]));
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Session, PodOfOneMatchesBareChip)
+{
+    // A one-chip session runs through Pod::runAllBounded on a pod of
+    // one. With faults live, on both cores, it must be exactly the
+    // chip its ChipConfig describes.
+    Graph g = model::buildTinyNet(21, 8, 8, 4);
+    Rng rng(23);
+    std::vector<std::int8_t> input(8 * 8 * 4);
+    for (auto &v : input)
+        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
+    Lowering lw(true);
+    const auto tensors = g.lower(lw, input);
+    const LoweredTensor &out = tensors.at(g.outputNode());
+    const auto prog = std::make_shared<const AsmProgram>(
+        lw.program().toAsm(/*with_preamble=*/true));
+
+    int machine_checks = 0;
+    for (const bool ff : {true, false}) {
+        for (const double dbl : {0.0, 0.3}) {
+            ChipConfig cfg;
+            cfg.fastForwardEnabled = ff;
+            cfg.fault.seed = 0xabcdull;
+            cfg.fault.memReadRate = 0.02;
+            cfg.fault.memWriteRate = 0.01;
+            cfg.fault.streamRate = 0.01;
+            cfg.fault.doubleBitFraction = dbl;
+            SCOPED_TRACE(testing::Message()
+                         << "ff " << ff << " double " << dbl);
+
+            Chip bare(cfg);
+            bare.loadProgram(*prog);
+            lw.image().applyTo(bare);
+            const bool bare_done = bare.runBounded(500'000'000);
+
+            InferenceSession sess(lw, prog, cfg);
+            const RunResult r = sess.runBounded();
+            EXPECT_EQ(r.completed, bare_done);
+            EXPECT_EQ(r.cycles, bare.now());
+            EXPECT_EQ(sess.chip().now(), bare.now());
+            EXPECT_EQ(sess.chip().stats().all(), bare.stats().all());
+            EXPECT_EQ(sess.chip().power().totalEnergyJ(),
+                      bare.power().totalEnergyJ());
+            ASSERT_EQ(sess.machineChecked(), bare.machineCheck());
+            if (bare.machineCheck()) {
+                ++machine_checks;
+                EXPECT_EQ(r.status, RunStatus::MachineCheck);
+                EXPECT_EQ(sess.machineCheckChip(), 0);
+                EXPECT_EQ(sess.lastMachineCheck().cycle,
+                          bare.machineCheckInfo().cycle);
+                EXPECT_EQ(sess.lastMachineCheck().detail,
+                          bare.machineCheckInfo().detail);
+            }
+            EXPECT_EQ(sess.readTensor(out).data, readBare(bare, out));
+        }
+    }
+    // The double-bit configs condemn the run on both cores.
+    EXPECT_EQ(machine_checks, 2);
+}
+
+TEST(Session, PodOfOneKeepsCallerFaultSeed)
+{
+    ChipConfig cfg;
+    cfg.fault.seed = 0x5151ull;
+    cfg.fault.streamRate = 1e-3;
+    const Pod one(1, 17, cfg);
+    ASSERT_EQ(one.size(), 1);
+    EXPECT_EQ(one.chip(0).config().fault.seed, cfg.fault.seed);
+    // Ring members still draw distinct derived seeds.
+    const Pod ring(2, 17, cfg);
+    EXPECT_NE(ring.chip(0).config().fault.seed, cfg.fault.seed);
+    EXPECT_NE(ring.chip(0).config().fault.seed,
+              ring.chip(1).config().fault.seed);
 }
 
 } // namespace

@@ -25,7 +25,6 @@
 #include "isa/assembler.hh"
 #include "mem/ecc.hh"
 #include "model/resnet.hh"
-#include "runtime/pod_session.hh"
 #include "runtime/session.hh"
 #include "sim/chip.hh"
 #include "sim/exec_trace.hh"
@@ -426,17 +425,19 @@ TEST(Replay, PodAllReduceReplayIdentical)
     constexpr int kChips = 4;
     constexpr Cycle kWire = 12;
 
-    PodSession ref(kChips, kWire);
-    PodSession rep(kChips, kWire);
+    InferenceSession ref(kChips, kWire);
+    InferenceSession rep(kChips, kWire);
     rep.enableReplay();
-    for (PodSession *ps : {&ref, &rep}) {
+    for (InferenceSession *ps : {&ref, &rep}) {
         std::vector<ScheduledProgram> programs;
         buildRingAllReduce(ps->pod(), programs);
-        std::vector<AsmProgram> asm_programs;
+        InferenceSession::Programs asm_programs;
         asm_programs.reserve(programs.size());
         for (auto &p : programs)
-            asm_programs.push_back(p.toAsm());
-        ps->loadPrograms(std::move(asm_programs));
+            asm_programs.push_back(
+                std::make_shared<const AsmProgram>(p.toAsm()));
+        ps->bind(std::move(asm_programs));
+        ps->reset();
     }
 
     for (int run = 0; run < 3; ++run) {
@@ -451,25 +452,26 @@ TEST(Replay, PodAllReduceReplayIdentical)
                 v.bytes[static_cast<std::size_t>(l)] =
                     static_cast<std::uint8_t>(rng.intIn(-90, 90));
             }
-            for (PodSession *ps : {&ref, &rep}) {
-                ps->writeWord(c, Hemisphere::East,
-                              AllReducePlan::kSlice,
-                              AllReducePlan::kLocalAddr, v);
+            for (InferenceSession *ps : {&ref, &rep}) {
+                ps->pod()
+                    .chip(c)
+                    .mem(Hemisphere::East, AllReducePlan::kSlice)
+                    .backdoorWrite(AllReducePlan::kLocalAddr, v);
             }
         }
         ASSERT_TRUE(ref.runBounded().completed) << "run " << run;
         ASSERT_TRUE(rep.runBounded().completed) << "run " << run;
         EXPECT_EQ(ref.cycles(), rep.cycles()) << "run " << run;
-        EXPECT_EQ(ref.stats().all(), rep.stats().all())
-            << "run " << run;
         for (int c = 0; c < kChips; ++c) {
-            EXPECT_EQ(ref.readWord(c, Hemisphere::East,
-                                   AllReducePlan::kSlice,
-                                   AllReducePlan::kResultAddr)
+            const Chip &rc = ref.pod().chip(c);
+            const Chip &pc = rep.pod().chip(c);
+            EXPECT_EQ(rc.stats().all(), pc.stats().all())
+                << "run " << run << " chip " << c;
+            EXPECT_EQ(rc.mem(Hemisphere::East, AllReducePlan::kSlice)
+                          .backdoorRead(AllReducePlan::kResultAddr)
                           .bytes,
-                      rep.readWord(c, Hemisphere::East,
-                                   AllReducePlan::kSlice,
-                                   AllReducePlan::kResultAddr)
+                      pc.mem(Hemisphere::East, AllReducePlan::kSlice)
+                          .backdoorRead(AllReducePlan::kResultAddr)
                           .bytes)
                 << "run " << run << " chip " << c;
             EXPECT_NEAR(

@@ -11,7 +11,7 @@
  * rules, the fault-seed restore policy (same seed resumes the RNG
  * streams; a migration seed keeps fresh ones), pod snapshots with
  * in-flight C2C traffic, and the session-level periodic-snapshot +
- * migrate-and-resume path.
+ * migrate-and-resume path on one chip and on a ring.
  */
 
 #include <gtest/gtest.h>
@@ -524,6 +524,93 @@ TEST(SessionSnapshot, MigrateAndResumeRecoversMachineCheck)
     EXPECT_EQ(sess.rebuilds(), sess.migrations());
     // The resumed computation must finish with the correct bytes.
     EXPECT_EQ(sess.readTensor(m.out()).data, want.data);
+}
+
+/** Binds and loads a ring all-reduce on @p sess, then stages seeded
+ *  local vectors on every member. */
+void
+armAllReduce(InferenceSession &sess)
+{
+    std::vector<ScheduledProgram> sched;
+    buildRingAllReduce(sess.pod(), sched);
+    InferenceSession::Programs progs;
+    for (auto &p : sched)
+        progs.push_back(std::make_shared<const AsmProgram>(p.toAsm()));
+    sess.bind(std::move(progs));
+    sess.reset();
+    Rng rng(77);
+    for (int c = 0; c < sess.pod().size(); ++c) {
+        Vec320 v;
+        for (int l = 0; l < kLanes; ++l) {
+            v.bytes[static_cast<std::size_t>(l)] =
+                static_cast<std::uint8_t>(rng.intIn(-90, 90));
+        }
+        sess.pod()
+            .chip(c)
+            .mem(Hemisphere::East, AllReducePlan::kSlice)
+            .backdoorWrite(AllReducePlan::kLocalAddr, v);
+    }
+}
+
+TEST(SessionSnapshot, PodMigrateAndResumeRecoversMachineCheck)
+{
+    // The ring case of the test above, through the same session path:
+    // a condemned collective migrates onto a rebuilt pod and resumes
+    // from its last pre-fault PodSnapshot.
+    constexpr int kChips = 2;
+    constexpr Cycle kWire = 17;
+    InferenceSession golden(kChips, kWire);
+    armAllReduce(golden);
+    ASSERT_TRUE(golden.runBounded().completed);
+
+    // Uncorrectable link and stream strikes. The seed condemns the
+    // first run through a link strike, which lands in the receiver's
+    // buffer several snapshot intervals before it is consumed: a cut
+    // holding it must not serve as the migration point.
+    ChipConfig cfg;
+    cfg.fault.seed = 23;
+    cfg.fault.c2cRate = 0.05;
+    cfg.fault.streamRate = 0.002;
+    cfg.fault.doubleBitFraction = 1.0;
+    InferenceSession sess(kChips, kWire, cfg);
+    armAllReduce(sess);
+    sess.enableSnapshots(50);
+
+    RunResult r = sess.runBounded();
+    ASSERT_EQ(r.status, RunStatus::MachineCheck)
+        << "seed expected to condemn the first run";
+    std::uint64_t link_strikes = 0;
+    for (int c = 0; c < kChips; ++c)
+        link_strikes +=
+            sess.pod().chip(c).stats().get("faults_injected_c2c");
+    EXPECT_GT(link_strikes, 0u);
+    ASSERT_NE(sess.lastSnapshot(), nullptr)
+        << "a snapshot must precede the first uncorrectable error";
+
+    int hops = 0;
+    while (r.status == RunStatus::MachineCheck &&
+           sess.lastSnapshot() != nullptr && hops < 16) {
+        r = sess.migrateAndResume();
+        ++hops;
+    }
+    ASSERT_TRUE(r.completed);
+    EXPECT_GE(sess.migrations(), 1);
+    EXPECT_EQ(sess.rebuilds(), sess.migrations());
+    // Every member holds the fault-free reduction.
+    const auto want = golden.pod()
+                          .chip(0)
+                          .mem(Hemisphere::East, AllReducePlan::kSlice)
+                          .backdoorRead(AllReducePlan::kResultAddr)
+                          .bytes;
+    for (int c = 0; c < kChips; ++c) {
+        EXPECT_EQ(sess.pod()
+                      .chip(c)
+                      .mem(Hemisphere::East, AllReducePlan::kSlice)
+                      .backdoorRead(AllReducePlan::kResultAddr)
+                      .bytes,
+                  want)
+            << "chip " << c;
+    }
 }
 
 } // namespace

@@ -69,6 +69,7 @@
  *             --hipri 0.2 --preempt --requests 400
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -78,6 +79,7 @@
 
 #include "c2c/collective.hh"
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "model/resnet.hh"
 #include "serve/server.hh"
 
@@ -168,45 +170,71 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric values must be entirely a number: a typo such as
+        // "--pod 2x" or "--fault-rate 1e-x" fails closed.
+        auto nextLong = [&]() -> long {
+            long v = 0;
+            if (!parseInt(next(), v)) {
+                usage();
+                std::exit(2);
+            }
+            return v;
+        };
+        auto nextInt = [&]() -> int {
+            const long v = nextLong();
+            if (v < INT_MIN || v > INT_MAX) {
+                usage();
+                std::exit(2);
+            }
+            return static_cast<int>(v);
+        };
+        auto nextDouble = [&]() -> double {
+            const char *s = next();
+            char *end = nullptr;
+            const double v = std::strtod(s, &end);
+            if (end == s || *end != '\0' || !std::isfinite(v)) {
+                usage();
+                std::exit(2);
+            }
+            return v;
+        };
         if (!std::strcmp(argv[i], "--workers")) {
-            workers = std::atoi(next());
+            workers = nextInt();
         } else if (!std::strcmp(argv[i], "--pod")) {
-            pod_chips = std::atoi(next());
+            pod_chips = nextInt();
         } else if (!std::strcmp(argv[i], "--wire")) {
-            wire_latency = static_cast<Cycle>(std::atol(next()));
+            wire_latency = static_cast<Cycle>(nextLong());
         } else if (!std::strcmp(argv[i], "--requests")) {
-            requests = std::atoi(next());
+            requests = nextInt();
         } else if (!std::strcmp(argv[i], "--rho")) {
-            rho = std::atof(next());
+            rho = nextDouble();
         } else if (!std::strcmp(argv[i], "--slack")) {
-            slack_services = std::atof(next());
+            slack_services = nextDouble();
         } else if (!std::strcmp(argv[i], "--queue")) {
-            queue_cap = static_cast<std::size_t>(std::atol(next()));
+            queue_cap = static_cast<std::size_t>(nextLong());
         } else if (!std::strcmp(argv[i], "--model-seed")) {
-            model_seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            model_seed = static_cast<std::uint64_t>(nextLong());
         } else if (!std::strcmp(argv[i], "--seed")) {
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            seed = static_cast<std::uint64_t>(nextLong());
         } else if (!std::strcmp(argv[i], "--json")) {
             json_path = next();
         } else if (!std::strcmp(argv[i], "--fault-rate")) {
-            fault_rate = std::atof(next());
+            fault_rate = nextDouble();
         } else if (!std::strcmp(argv[i], "--fault-double")) {
-            fault_double = std::atof(next());
+            fault_double = nextDouble();
         } else if (!std::strcmp(argv[i], "--fault-seed")) {
-            fault_seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            fault_seed = static_cast<std::uint64_t>(nextLong());
             have_fault_seed = true;
         } else if (!std::strcmp(argv[i], "--retries")) {
-            retries = std::atoi(next());
+            retries = nextInt();
         } else if (!std::strcmp(argv[i], "--migrate-on-mc")) {
             migrate_on_mc = true;
         } else if (!std::strcmp(argv[i], "--snapshot-every")) {
-            snapshot_every = std::atol(next());
+            snapshot_every = nextLong();
         } else if (!std::strcmp(argv[i], "--batch-max")) {
-            batch_max = std::atoi(next());
+            batch_max = nextInt();
         } else if (!std::strcmp(argv[i], "--batch-window-us")) {
-            batch_window_us = std::atof(next());
+            batch_window_us = nextDouble();
         } else if (!std::strcmp(argv[i], "--model")) {
             ModelArg ma;
             if (!parseModelArg(next(), ma)) {
@@ -215,9 +243,9 @@ main(int argc, char **argv)
             }
             model_args.push_back(std::move(ma));
         } else if (!std::strcmp(argv[i], "--registry-mb")) {
-            registry_mb = std::atol(next());
+            registry_mb = nextLong();
         } else if (!std::strcmp(argv[i], "--hipri")) {
-            hipri = std::atof(next());
+            hipri = nextDouble();
         } else if (!std::strcmp(argv[i], "--preempt")) {
             preempt = true;
         } else {
