@@ -100,6 +100,44 @@ BM_EccCheckVec(benchmark::State &state)
 }
 BENCHMARK(BM_EccCheckVec);
 
+/**
+ * LW/IW-installs a seeded int8 tile into @p plane, nonzero only in
+ * rows < rows and columns < cols.
+ */
+void
+installTile(MxmPlane &plane, StreamFabric &fabric, int rows, int cols)
+{
+    Rng rng(0x5eed);
+    for (int base = 0; base < kMxmDim; base += kStreamsPerDir) {
+        for (int j = 0; j < kStreamsPerDir; ++j) {
+            Vec320 v;
+            for (int c = 0; base + j < rows && c < cols; ++c) {
+                v.bytes[static_cast<std::size_t>(c)] =
+                    static_cast<std::uint8_t>(rng.intIn(1, 255));
+            }
+            fabric.write({static_cast<StreamId>(j), Direction::West},
+                         plane.pos(), v);
+        }
+        Instruction lw;
+        lw.op = Opcode::Lw;
+        lw.srcA = {0, Direction::West};
+        lw.groupSize = kStreamsPerDir;
+        plane.issue(lw, fabric.now());
+        plane.tick(fabric.now());
+        fabric.advance();
+    }
+    Instruction iw;
+    iw.op = Opcode::Iw;
+    plane.issue(iw, fabric.now());
+    plane.tick(fabric.now());
+    fabric.advance();
+}
+
+/**
+ * One ABC tick over an installed tile whose nonzero weights span
+ * range(0) rows x range(1) columns: 320x320 is a dense tile, 16x16
+ * the live block of a small serving model. Both model n x n MACs.
+ */
 void
 BM_MxmMatvecTick(benchmark::State &state)
 {
@@ -108,7 +146,9 @@ BM_MxmMatvecTick(benchmark::State &state)
     cfg.eccEnabled = false;
     StreamFabric fabric;
     MxmPlane plane(0, cfg, fabric);
-    // A long activation window; each tick is one 320x320 matvec.
+    installTile(plane, fabric, static_cast<int>(state.range(0)),
+                static_cast<int>(state.range(1)));
+    // A long activation window; each tick is one matvec.
     Instruction abc;
     abc.op = Opcode::Abc;
     abc.imm1 = kMxmAccDepth;
@@ -121,12 +161,13 @@ BM_MxmMatvecTick(benchmark::State &state)
         }
         plane.tick(fabric.now());
         fabric.advance();
+        benchmark::DoNotOptimize(plane.maccOps());
         --left;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * kMxmDim * kMxmDim));
 }
-BENCHMARK(BM_MxmMatvecTick);
+BENCHMARK(BM_MxmMatvecTick)->Args({kMxmDim, kMxmDim})->Args({16, 16});
 
 void
 BM_ChipIdleCycle(benchmark::State &state)

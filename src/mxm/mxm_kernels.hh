@@ -20,43 +20,48 @@
 namespace tsp::simd {
 
 /**
- * One ABC cycle's dot products: for each row r < n,
- *   acc[r] (+)= sum_{c<n} w[r*stride + c] * (int8)act[c]
- * (accumulate selects += vs =), exactly as MxmPlane::stepAbc's scalar
- * loop computes it.
+ * One ABC cycle's dot products over a live block of the weight tile:
+ * for each row r < rows,
+ *   acc[r] (+)= sum_{c<cols} w[r*stride + c] * (int8)act[c]
+ * (accumulate selects += vs =). Rows at or past @p rows are not
+ * touched. When every weight outside the rows x cols block is zero,
+ * this equals MxmPlane::stepAbc's full-tile scalar loop on rows < rows
+ * and the loop's sums are 0 on the rest (see MxmPlane::liveRows_).
  *
- * @return false when this (n) has no vector path (n % 32 != 0) — the
- * caller must run the scalar loop instead.
+ * @return false when this (rows, cols) has no vector path
+ * (cols % 32 != 0, or either exceeds 320) — the caller must run the
+ * scalar loop instead.
  */
 bool mxmAbcInt8Avx2(const std::int8_t *w, int stride,
-                    const std::uint8_t *act, std::int32_t *acc, int n,
-                    bool accumulate);
+                    const std::uint8_t *act, std::int32_t *acc,
+                    int rows, int cols, bool accumulate);
 
 /**
  * AVX-512 VNNI variant of mxmAbcInt8Avx2: vpdpbusd needs one unsigned
  * operand, so activations are biased by +128 (a XOR 0x80) and the
- * per-row correction 128 * sum(w[r][*]) — precomputed by
- * mxmRowSumsInt8Vnni at weight install — is subtracted, which is
- * exact in wrapping int32 arithmetic. Callers additionally gate on
+ * per-row correction 128 * sum(w[r][*]) — precomputed over the same
+ * block by mxmRowSumsInt8Vnni at weight install — is subtracted, which
+ * is exact in wrapping int32 arithmetic. Callers additionally gate on
  * tsp::cpuHasAvx512Vnni(); definitions live in mxm_kernels_vnni.cc,
  * the only TU compiled with -mavx512vnni.
  *
- * @return false when (n) has no vector path (n % 64 != 0).
+ * @return false when (rows, cols) has no vector path (rows % 4 != 0,
+ * cols % 64 != 0, or either exceeds 320).
  */
 bool mxmAbcInt8Vnni(const std::int8_t *w, int stride,
                     const std::uint8_t *act,
                     const std::int32_t *row_sums, std::int32_t *acc,
-                    int n, bool accumulate);
+                    int rows, int cols, bool accumulate);
 
 /**
- * Fills @p out[r] = sum_{c<n} w[r*stride + c] for r < n (the bias
- * correction mxmAbcInt8Vnni needs). Same gating and n % 64 == 0
- * contract as the kernel.
+ * Fills @p out[r] = sum_{c<cols} w[r*stride + c] for r < rows (the
+ * bias correction mxmAbcInt8Vnni needs). Same gating and
+ * cols % 64 == 0 contract as the kernel.
  *
- * @return false when (n) has no vector path.
+ * @return false when (rows, cols) has no vector path.
  */
-bool mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int n,
-                        std::int32_t *out);
+bool mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int rows,
+                        int cols, std::int32_t *out);
 
 /**
  * One fp16-mode ABC cycle's row dot products: for each row r < n,

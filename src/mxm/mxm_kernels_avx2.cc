@@ -24,16 +24,17 @@ hsumEpi32(__m256i v)
 
 bool
 mxmAbcInt8Avx2(const std::int8_t *w, int stride,
-               const std::uint8_t *act, std::int32_t *acc, int n,
-               bool accumulate)
+               const std::uint8_t *act, std::int32_t *acc, int rows,
+               int cols, bool accumulate)
 {
-    if (n % 32 != 0 || n > 320)
+    if (cols % 32 != 0 || cols > 320 || rows > 320)
         return false;
 
-    // Widen the activations once; every row reuses them. 320 lanes
-    // is 10 chunks of 32 int8, each widened to two int16 vectors.
+    // Widen the live activations once; every row reuses them. 320
+    // lanes is 10 chunks of 32 int8, each widened to two int16
+    // vectors.
     __m256i a16[20];
-    const int chunks = n / 32;
+    const int chunks = cols / 32;
     for (int i = 0; i < chunks; ++i) {
         const __m256i a = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(act + 32 * i));
@@ -42,7 +43,7 @@ mxmAbcInt8Avx2(const std::int8_t *w, int stride,
             _mm256_cvtepi8_epi16(_mm256_extracti128_si256(a, 1));
     }
 
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; r < rows; ++r) {
         const std::int8_t *wrow =
             w + static_cast<std::size_t>(r) * stride;
         __m256i sum = _mm256_setzero_si256();
@@ -106,7 +107,7 @@ namespace tsp::simd {
 
 bool
 mxmAbcInt8Avx2(const std::int8_t *, int, const std::uint8_t *,
-               std::int32_t *, int, bool)
+               std::int32_t *, int, int, bool)
 {
     return false;
 }

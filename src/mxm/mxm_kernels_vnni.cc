@@ -81,13 +81,13 @@ hsum4Epi32(__m512i s0, __m512i s1, __m512i s2, __m512i s3)
 bool
 mxmAbcInt8Vnni(const std::int8_t *w, int stride,
                const std::uint8_t *act, const std::int32_t *row_sums,
-               std::int32_t *acc, int n, bool accumulate)
+               std::int32_t *acc, int rows, int cols, bool accumulate)
 {
-    if (n % 64 != 0 || n > 320)
+    if (rows % 4 != 0 || cols % 64 != 0 || rows > 320 || cols > 320)
         return false;
 
-    // Bias the activations once; every row reuses them.
-    const int blocks = n / 64;
+    // Bias the live activations once; every row reuses them.
+    const int blocks = cols / 64;
     __m512i a[5];
     const __m512i bias = _mm512_set1_epi8(-128);
     for (int i = 0; i < blocks; ++i) {
@@ -99,7 +99,7 @@ mxmAbcInt8Vnni(const std::int8_t *w, int stride,
 
     // Four independent accumulator chains per group of rows keep the
     // dot-product unit busy across vpdpbusd's latency.
-    for (int r = 0; r < n; r += 4) {
+    for (int r = 0; r < rows; r += 4) {
         const std::int8_t *w0 =
             w + static_cast<std::size_t>(r) * stride;
         const std::int8_t *w1 = w0 + stride;
@@ -148,15 +148,15 @@ mxmAbcInt8Vnni(const std::int8_t *w, int stride,
 }
 
 bool
-mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int n,
-                   std::int32_t *out)
+mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int rows,
+                   int cols, std::int32_t *out)
 {
-    if (n % 64 != 0 || n > 320)
+    if (cols % 64 != 0 || cols > 320 || rows > 320)
         return false;
 
-    const int blocks = n / 64;
+    const int blocks = cols / 64;
     const __m512i ones = _mm512_set1_epi8(1);
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; r < rows; ++r) {
         const std::int8_t *wrow =
             w + static_cast<std::size_t>(r) * stride;
         __m512i s = _mm512_setzero_si512();
@@ -179,13 +179,14 @@ namespace tsp::simd {
 
 bool
 mxmAbcInt8Vnni(const std::int8_t *, int, const std::uint8_t *,
-               const std::int32_t *, std::int32_t *, int, bool)
+               const std::int32_t *, std::int32_t *, int, int, bool)
 {
     return false;
 }
 
 bool
-mxmRowSumsInt8Vnni(const std::int8_t *, int, int, std::int32_t *)
+mxmRowSumsInt8Vnni(const std::int8_t *, int, int, int,
+                   std::int32_t *)
 {
     return false;
 }

@@ -1,5 +1,7 @@
 #include "mxm/mxm_plane.hh"
 
+#include <algorithm>
+
 #include "common/cpu.hh"
 #include "common/fp16.hh"
 #include "common/logging.hh"
@@ -7,6 +9,33 @@
 #include "mxm/mxm_kernels.hh"
 
 namespace tsp {
+
+namespace {
+
+/** @return a kMxmDim-byte row's last nonzero column + 1, 0 if none. */
+std::uint16_t
+rowExtent(const std::int8_t *row)
+{
+    for (int c = kMxmDim; c > 0; c -= 8) {
+        std::uint64_t word;
+        __builtin_memcpy(&word, row + c - 8, sizeof(word));
+        if (word != 0) {
+            while (row[c - 1] == 0)
+                --c;
+            return static_cast<std::uint16_t>(c);
+        }
+    }
+    return 0;
+}
+
+/** Rounds a live extent up to a kernel's chunk, capped at @p n. */
+int
+liveSpan(int live, int chunk, int n)
+{
+    return std::min((live + chunk - 1) / chunk * chunk, n);
+}
+
+} // namespace
 
 MxmPlane::MxmPlane(int plane, const ChipConfig &cfg,
                    StreamFabric &fabric)
@@ -92,12 +121,14 @@ MxmPlane::executeLw(const Instruction &inst, Cycle now)
             const int row = fillRow_ + k;
             // Bit-preserving u8 -> int8 row copy (the cast the scalar
             // loop did is a no-op on the representation).
-            __builtin_memcpy(
-                &wbuf_[static_cast<std::size_t>(row) * kMxmDim],
-                v.bytes.data(), kMxmDim);
+            std::int8_t *dst =
+                &wbuf_[static_cast<std::size_t>(row) * kMxmDim];
+            __builtin_memcpy(dst, v.bytes.data(), kMxmDim);
+            wbufExtent_[static_cast<std::size_t>(row)] = rowExtent(dst);
             weightBytes_ += kMxmDim;
         }
         fillRow_ += gs;
+        dirtyRowsI8_ = std::max(dirtyRowsI8_, fillRow_);
     } else if (weightType_ == DType::Fp16) {
         TSP_ASSERT(gs % 2 == 0);
         const int rows = gs / 2;
@@ -132,6 +163,7 @@ MxmPlane::executeLw(const Instruction &inst, Cycle now)
             weightBytes_ += 2 * kMxmDim;
         }
         fillRow_ += rows;
+        dirtyRowsF16_ = std::max(dirtyRowsF16_, fillRow_);
     } else {
         panic("MXM%d: weights must be int8 or fp16, got %s", plane_,
               dtypeName(weightType_));
@@ -143,12 +175,40 @@ MxmPlane::executeIw(const Instruction &inst, Cycle now)
 {
     (void)inst;
     (void)now;
-    winst_ = wbuf_;
-    winstF_ = wbufF_;
+    // Rows not written since the last IW already match their
+    // installed copies; commit only the LW-filled ones.
+    const auto dim = static_cast<std::size_t>(kMxmDim);
+    if (dirtyRowsI8_ > 0) {
+        std::copy_n(wbuf_.begin(),
+                    static_cast<std::size_t>(dirtyRowsI8_) * dim,
+                    winst_.begin());
+        setLiveBlock(wbufExtent_);
+        rowSumsValid_ = false;
+    }
+    if (dirtyRowsF16_ > 0) {
+        std::copy_n(wbufF_.begin(),
+                    static_cast<std::size_t>(dirtyRowsF16_) * dim,
+                    winstF_.begin());
+        fWeightsValid_ = false;
+    }
+    dirtyRowsI8_ = 0;
+    dirtyRowsF16_ = 0;
     installedType_ = weightType_;
-    rowSumsValid_ = false;
-    fWeightsValid_ = false;
     fillRow_ = 0;
+}
+
+void
+MxmPlane::setLiveBlock(const std::array<std::uint16_t, kMxmDim> &extent)
+{
+    liveRows_ = 0;
+    liveCols_ = 0;
+    for (int r = 0; r < kMxmDim; ++r) {
+        const int e = extent[static_cast<std::size_t>(r)];
+        if (e != 0) {
+            liveRows_ = r + 1;
+            liveCols_ = std::max(liveCols_, e);
+        }
+    }
 }
 
 void
@@ -232,28 +292,37 @@ MxmPlane::stepAbc(Cycle now)
         // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c].
         // Kernel ladder: AVX-512 VNNI (needs the per-install row
         // sums), then AVX2, then scalar. Every tier computes the
-        // identical wrapping int32 sums; a kernel declines lane
-        // counts it can't chunk and the next tier takes over.
+        // identical wrapping int32 sums; a kernel declines shapes it
+        // can't chunk and the next tier takes over. The SIMD tiers
+        // cover only the installed tile's live block, rounded up to
+        // their chunks: the weights outside it are zero, so rows past
+        // it sum to 0 and columns past it add nothing. The scalar
+        // loop stays the full-tile reference.
         bool done = false;
         if (simdKernelsEnabled()) {
+            int rows = 0;
             if (cpuHasAvx512Vnni()) {
+                rows = liveSpan(liveRows_, 4, n);
+                const int cols = liveSpan(liveCols_, 64, n);
                 if (!rowSumsValid_) {
                     rowSumsValid_ = simd::mxmRowSumsInt8Vnni(
-                        winst_.data(), kMxmDim, n,
+                        winst_.data(), kMxmDim, rows, cols,
                         winstRowSum_.data());
                 }
                 done = rowSumsValid_ &&
                        simd::mxmAbcInt8Vnni(
                            winst_.data(), kMxmDim, a.bytes.data(),
-                           winstRowSum_.data(), acc.data(), n,
+                           winstRowSum_.data(), acc.data(), rows, cols,
                            abc_.accumulate);
             }
             if (!done) {
-                done = simd::mxmAbcInt8Avx2(winst_.data(), kMxmDim,
-                                            a.bytes.data(),
-                                            acc.data(), n,
-                                            abc_.accumulate);
+                rows = liveSpan(liveRows_, 1, n);
+                done = simd::mxmAbcInt8Avx2(
+                    winst_.data(), kMxmDim, a.bytes.data(), acc.data(),
+                    rows, liveSpan(liveCols_, 32, n), abc_.accumulate);
             }
+            if (done && !abc_.accumulate)
+                std::fill(acc.begin() + rows, acc.begin() + n, 0);
         }
         if (!done) {
             for (int r = 0; r < n; ++r) {
@@ -484,9 +553,20 @@ MxmPlane::loadState(SnapshotReader &r)
     weightType_ = static_cast<DType>(r.u8());
     installedType_ = static_cast<DType>(r.u8());
     // The VNNI bias cache and the fp16 column image are derived
-    // state; recompute on demand.
+    // state; recompute on demand. So are the row extents and the live
+    // block, which come from the installed tile: a snapshot taken
+    // between an LW burst and its IW holds staged rows that differ
+    // from the installed ones, so the next IW must copy every row.
     rowSumsValid_ = false;
     fWeightsValid_ = false;
+    std::array<std::uint16_t, kMxmDim> instExtent{};
+    for (std::size_t row = 0; row < instExtent.size(); ++row) {
+        wbufExtent_[row] = rowExtent(&wbuf_[row * kMxmDim]);
+        instExtent[row] = rowExtent(&winst_[row * kMxmDim]);
+    }
+    setLiveBlock(instExtent);
+    dirtyRowsI8_ = kMxmDim;
+    dirtyRowsF16_ = kMxmDim;
 
     abc_.active = r.b();
     abc_.src.id = r.u8();

@@ -75,6 +75,9 @@ class MxmPlane
     /** @return weight bytes loaded into the LW buffer. */
     std::uint64_t weightBytesLoaded() const { return weightBytes_; }
 
+    /** @return weight rows LW has staged since the last IW. */
+    int stagedRows() const { return fillRow_; }
+
     /** @return true if an ABC window is streaming right now. */
     bool abcActive() const { return abc_.active; }
 
@@ -114,7 +117,13 @@ class MxmPlane
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores plane state (invalidates the row-sum cache). */
+    /**
+     * Restores plane state (invalidates the row-sum cache). The
+     * snapshot may fall between an LW burst and its IW, when the
+     * staged and installed buffers differ, so every staged row is
+     * marked dirty and the live block is rederived from the installed
+     * tile itself.
+     */
     void loadState(SnapshotReader &r);
 
   private:
@@ -128,6 +137,9 @@ class MxmPlane
 
     /** Rebuilds winstFCols_ from winstF_ (lazy, post-IW). */
     void buildF16WeightCols();
+
+    /** Sets liveRows_ / liveCols_ from per-row int8 extents. */
+    void setLiveBlock(const std::array<std::uint16_t, kMxmDim> &extent);
 
     const ChipConfig &cfg_;
     StreamIo io_;
@@ -157,6 +169,26 @@ class MxmPlane
      */
     std::vector<float> winstFCols_;
     bool fWeightsValid_ = false;
+    /**
+     * Extent of each staged int8 row: its last nonzero column + 1, 0
+     * for an all-zero row. Recorded by LW.
+     */
+    std::array<std::uint16_t, kMxmDim> wbufExtent_{};
+    /**
+     * Live block of the installed int8 tile: every weight at a row >=
+     * liveRows_ or a column >= liveCols_ is zero, so the int8 SIMD
+     * kernels compute only this block (rows past it sum to 0 exactly).
+     * Derived at IW from wbufExtent_; excluded from snapshots.
+     */
+    int liveRows_ = 0;
+    int liveCols_ = 0;
+    /**
+     * Staged rows written since the last IW, per buffer. LW fills
+     * rows upward from 0, so rows [0, dirty) are the only ones whose
+     * staged and installed copies can differ and all IW must copy.
+     */
+    int dirtyRowsI8_ = 0;
+    int dirtyRowsF16_ = 0;
     int fillRow_ = 0;
     DType weightType_ = DType::Int8;
     DType installedType_ = DType::Int8;

@@ -9,8 +9,10 @@
  * sequences and clamp fixups are exercised where they can diverge.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -361,13 +363,13 @@ TEST(MxmSimd, KernelsMatchScalar)
 
     std::vector<std::int32_t> got(static_cast<std::size_t>(n), 5);
     ASSERT_TRUE(simd::mxmAbcInt8Avx2(w.data(), n, act.data(),
-                                     got.data(), n, true));
+                                     got.data(), n, n, true));
     EXPECT_EQ(ref, got) << "avx2";
 
     if (cpuHasAvx512Vnni()) {
         std::vector<std::int32_t> rs(static_cast<std::size_t>(n));
         ASSERT_TRUE(
-            simd::mxmRowSumsInt8Vnni(w.data(), n, n, rs.data()));
+            simd::mxmRowSumsInt8Vnni(w.data(), n, n, n, rs.data()));
         for (int r = 0; r < n; ++r) {
             std::int32_t s = 0;
             for (int c = 0; c < n; ++c)
@@ -377,10 +379,142 @@ TEST(MxmSimd, KernelsMatchScalar)
         }
         std::vector<std::int32_t> vn(static_cast<std::size_t>(n), 5);
         ASSERT_TRUE(simd::mxmAbcInt8Vnni(w.data(), n, act.data(),
-                                         rs.data(), vn.data(), n,
+                                         rs.data(), vn.data(), n, n,
                                          true));
         EXPECT_EQ(ref, vn) << "vnni";
     }
+}
+
+/** Rounds @p live up to @p chunk, capped at @p n (MxmPlane's rule). */
+int
+liveSpan(int live, int chunk, int n)
+{
+    return std::min((live + chunk - 1) / chunk * chunk, n);
+}
+
+/**
+ * One live-block kernel call as MxmPlane::stepAbc makes it, checked
+ * against the full-tile scalar loop: the kernel covers rows < rows
+ * and the plane zeroes the remaining rows when the tick overwrites.
+ * @p kernel returns false when it declines the shape.
+ *
+ * @return whether the kernel took the shape.
+ */
+template <typename Kernel>
+bool
+checkLiveBlock(const std::vector<std::int8_t> &w,
+               const std::vector<std::uint8_t> &act, int n, int rows,
+               bool accumulate, Kernel kernel, const std::string &what)
+{
+    std::vector<std::int32_t> ref(kLanes);
+    std::uint64_t seed = 5;
+    for (auto &v : ref)
+        v = static_cast<std::int32_t>(nextByte(seed)) - 100;
+    std::vector<std::int32_t> got = ref;
+    mxmScalarRef(w.data(), kLanes, act.data(), ref.data(), n,
+                 accumulate);
+    if (!kernel(got.data()))
+        return false;
+    if (!accumulate)
+        std::fill(got.begin() + rows, got.begin() + n, 0);
+    EXPECT_EQ(ref, got) << what;
+    return true;
+}
+
+TEST(MxmSimd, LiveBlockKernelsMatchFullScalar)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "no AVX2 on this host";
+    struct Case
+    {
+        int liveRows, liveCols, n;
+    };
+    // All-zero and full tiles, 16-row serving tiles, live columns off
+    // the 32/64-lane grids, live rows off the 4-row grid, and n < 320
+    // (fewer active superlanes) with weights past the active lanes.
+    const Case cases[] = {
+        {0, 0, 320},    {320, 320, 320}, {16, 8, 320},
+        {16, 16, 320},  {16, 13, 320},   {23, 40, 320},
+        {33, 65, 320},  {100, 319, 320}, {320, 1, 320},
+        {7, 320, 320},  {250, 250, 320}, {320, 320, 160},
+        {40, 100, 160}, {90, 150, 160},  {320, 320, 80},
+        {16, 70, 80},   {5, 5, 16},
+    };
+    std::uint64_t seed = 131;
+    for (const Case &k : cases) {
+        std::vector<std::int8_t> w(static_cast<std::size_t>(kLanes) *
+                                   kLanes, 0);
+        for (int r = 0; r < k.liveRows; ++r) {
+            for (int c = 0; c < k.liveCols; ++c) {
+                w[static_cast<std::size_t>(r) * kLanes +
+                  static_cast<std::size_t>(c)] =
+                    static_cast<std::int8_t>(nextByte(seed));
+            }
+        }
+        std::vector<std::uint8_t> act(kLanes);
+        for (auto &v : act)
+            v = nextByte(seed);
+        const std::string tag = std::to_string(k.liveRows) + "x" +
+                                std::to_string(k.liveCols) + " n=" +
+                                std::to_string(k.n);
+        for (const bool accumulate : {false, true}) {
+            const int rows2 = liveSpan(k.liveRows, 1, k.n);
+            const int cols2 = liveSpan(k.liveCols, 32, k.n);
+            const bool avx2 = checkLiveBlock(
+                w, act, k.n, rows2, accumulate,
+                [&](std::int32_t *acc) {
+                    return simd::mxmAbcInt8Avx2(w.data(), kLanes,
+                                                act.data(), acc, rows2,
+                                                cols2, accumulate);
+                },
+                "avx2 " + tag);
+            EXPECT_EQ(avx2, cols2 % 32 == 0) << tag;
+            if (!cpuHasAvx512Vnni())
+                continue;
+            const int rows4 = liveSpan(k.liveRows, 4, k.n);
+            const int cols4 = liveSpan(k.liveCols, 64, k.n);
+            std::vector<std::int32_t> rs(kLanes);
+            const bool sums = simd::mxmRowSumsInt8Vnni(
+                w.data(), kLanes, rows4, cols4, rs.data());
+            EXPECT_EQ(sums, cols4 % 64 == 0) << tag;
+            if (!sums)
+                continue;
+            const bool vnni = checkLiveBlock(
+                w, act, k.n, rows4, accumulate,
+                [&](std::int32_t *acc) {
+                    return simd::mxmAbcInt8Vnni(w.data(), kLanes,
+                                                act.data(), rs.data(),
+                                                acc, rows4, cols4,
+                                                accumulate);
+                },
+                "vnni " + tag);
+            EXPECT_TRUE(vnni) << tag;
+        }
+    }
+}
+
+TEST(MxmSimd, LiveBlockKernelsDeclineUncoveredShapes)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "no AVX2 on this host";
+    std::vector<std::int8_t> w(static_cast<std::size_t>(kLanes) *
+                               kLanes);
+    std::vector<std::uint8_t> a(kLanes);
+    std::vector<std::int32_t> acc(kLanes), rs(kLanes);
+    EXPECT_FALSE(simd::mxmAbcInt8Avx2(w.data(), kLanes, a.data(),
+                                      acc.data(), 16, 48, false));
+    EXPECT_FALSE(simd::mxmAbcInt8Avx2(w.data(), kLanes, a.data(),
+                                      acc.data(), 321, 32, false));
+    if (!cpuHasAvx512Vnni())
+        return;
+    EXPECT_FALSE(simd::mxmAbcInt8Vnni(w.data(), kLanes, a.data(),
+                                      rs.data(), acc.data(), 18, 64,
+                                      false));
+    EXPECT_FALSE(simd::mxmAbcInt8Vnni(w.data(), kLanes, a.data(),
+                                      rs.data(), acc.data(), 16, 96,
+                                      false));
+    EXPECT_FALSE(simd::mxmRowSumsInt8Vnni(w.data(), kLanes, 16, 32,
+                                          rs.data()));
 }
 
 /**

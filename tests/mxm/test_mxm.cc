@@ -3,15 +3,21 @@
  * MXM plane: LW/IW weight staging, int8 matvec against a host
  * reference, multi-window accumulation, fp16 mode with fp32
  * accumulation, the drain-generation consistency check, and the
- * 40-cycle weight-install claim's arithmetic.
+ * 40-cycle weight-install claim's arithmetic. The int8 live-block
+ * kernels and the dirty-row IW are checked over seeded tiles against
+ * a full-tile host reference, including a plane restored from a
+ * snapshot taken between an LW burst and its IW; run these under
+ * TSP_FORCE_SCALAR=1 too, so both kernel tiers meet the reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "common/fp16.hh"
 #include "common/rng.hh"
+#include "common/snapshot_io.hh"
 #include "mem/ecc.hh"
 #include "mxm/mxm_plane.hh"
 
@@ -22,8 +28,8 @@ namespace {
 class MxmHarness
 {
   public:
-    MxmHarness()
-        : fabric_(), plane_(0, cfg_, fabric_)
+    explicit MxmHarness(ChipConfig cfg = {})
+        : cfg_(cfg), fabric_(), plane_(0, cfg_, fabric_)
     {
     }
 
@@ -35,10 +41,11 @@ class MxmHarness
         fabric_.write({id, dir}, plane_.pos(), x);
     }
 
+    /** LW-stages rows [0, rows) of @p w, 16 per cycle; no IW. */
     void
-    loadWeights(const std::vector<std::int8_t> &w) // [320][320]
+    stageRows(const std::vector<std::int8_t> &w, int rows) // [320][320]
     {
-        for (int burst = 0; burst < 20; ++burst) {
+        for (int burst = 0; burst < rows / 16; ++burst) {
             for (int j = 0; j < 16; ++j) {
                 Vec320 row;
                 const int r = burst * 16 + j;
@@ -58,10 +65,83 @@ class MxmHarness
             plane_.issue(lw, fabric_.now());
             step();
         }
+    }
+
+    void
+    install()
+    {
         Instruction iw;
         iw.op = Opcode::Iw;
         plane_.issue(iw, fabric_.now());
         step();
+    }
+
+    void
+    loadWeights(const std::vector<std::int8_t> &w) // [320][320]
+    {
+        stageRows(w, kMxmDim);
+        install();
+    }
+
+    /** Streams @p acts through one ABC window into accumulators 0... */
+    void
+    window(const std::vector<Vec320> &acts, bool accumulate)
+    {
+        Instruction abc;
+        abc.op = Opcode::Abc;
+        abc.imm1 = static_cast<std::uint32_t>(acts.size());
+        abc.srcA = {16, Direction::West};
+        abc.dtype = DType::Int8;
+        if (accumulate)
+            abc.flags |= Instruction::kFlagAccumulate;
+        plane_.issue(abc, fabric_.now());
+        for (const Vec320 &a : acts) {
+            putStream(16, Direction::West, a);
+            step();
+        }
+    }
+
+    /** Drains accumulators 0..k-1 through ACC as int32 rows. */
+    std::vector<std::array<std::int32_t, kMxmDim>>
+    drain(int k)
+    {
+        Instruction acc;
+        acc.op = Opcode::Acc;
+        acc.imm1 = static_cast<std::uint32_t>(k);
+        acc.dst = {20, Direction::East};
+        plane_.issue(acc, fabric_.now());
+        // Accumulator j leaves the plane j cycles after the issue and
+        // is one hop east of it dFunc + 1 cycles later.
+        const Cycle first =
+            fabric_.now() + opTiming(Opcode::Acc).dFunc + 1;
+        std::vector<std::array<std::int32_t, kMxmDim>> out(
+            static_cast<std::size_t>(k));
+        for (int j = 0; j < k;) {
+            step();
+            if (fabric_.now() != first + static_cast<Cycle>(j))
+                continue;
+            auto &y = out[static_cast<std::size_t>(j)];
+            y.fill(0);
+            for (int b = 0; b < 4; ++b) {
+                const Vec320 *v = fabric_.peek(
+                    {static_cast<StreamId>(20 + b), Direction::East},
+                    plane_.pos() + 1);
+                EXPECT_NE(v, nullptr) << "accumulator " << j;
+                if (v == nullptr)
+                    return out;
+                for (int r = 0; r < kMxmDim; ++r) {
+                    y[static_cast<std::size_t>(r)] = static_cast<
+                        std::int32_t>(
+                        static_cast<std::uint32_t>(
+                            y[static_cast<std::size_t>(r)]) |
+                        static_cast<std::uint32_t>(
+                            v->bytes[static_cast<std::size_t>(r)])
+                            << (8 * b));
+                }
+            }
+            ++j;
+        }
+        return out;
     }
 
     void
@@ -398,6 +478,253 @@ TEST(Mxm, Fp16ModeAccumulatesInFp32)
     float f;
     std::memcpy(&f, &u, sizeof(f));
     EXPECT_FLOAT_EQ(f, 1.0f);
+}
+
+/**
+ * A seeded int8 tile that is zero outside rows < rows, cols < cols,
+ * with a nonzero corner (rows-1, cols-1) so its live block is exactly
+ * rows x cols.
+ */
+std::vector<std::int8_t>
+blockTile(int rows, int cols, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::int8_t> w(
+        static_cast<std::size_t>(kMxmDim) * kMxmDim, 0);
+    for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+            w[static_cast<std::size_t>(r) * kMxmDim +
+              static_cast<std::size_t>(c)] =
+                static_cast<std::int8_t>(rng.intIn(-128, 127));
+        }
+    }
+    if (rows > 0 && cols > 0) {
+        w[static_cast<std::size_t>(rows - 1) * kMxmDim +
+          static_cast<std::size_t>(cols - 1)] = -7;
+    }
+    return w;
+}
+
+/** @p k seeded activation vectors over all 320 lanes. */
+std::vector<Vec320>
+randomActs(int k, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Vec320> acts(static_cast<std::size_t>(k));
+    for (auto &a : acts) {
+        for (auto &b : a.bytes)
+            b = static_cast<std::uint8_t>(rng.intIn(0, 255));
+    }
+    return acts;
+}
+
+/**
+ * An MxmHarness with host copies of its staged and installed tiles
+ * and of its accumulators, which the full-tile scalar loop
+ * y[r] = sum_{c<n} W[r][c] * a[c] (r < n) keeps up to date.
+ */
+class ShadowPlane
+{
+  public:
+    explicit ShadowPlane(ChipConfig cfg = {})
+        : h(cfg),
+          staged(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
+          installed(staged), acc(kMxmAccDepth)
+    {
+        for (auto &y : acc)
+            y.fill(0);
+    }
+
+    void
+    stage(const std::vector<std::int8_t> &w, int rows)
+    {
+        h.stageRows(w, rows);
+        std::copy_n(w.begin(), static_cast<std::size_t>(rows) * kMxmDim,
+                    staged.begin());
+    }
+
+    void
+    install()
+    {
+        h.install();
+        installed = staged;
+    }
+
+    void
+    window(const std::vector<Vec320> &acts, bool accumulate)
+    {
+        h.window(acts, accumulate);
+        const int n = h.cfg_.vectorLength();
+        for (std::size_t j = 0; j < acts.size(); ++j) {
+            auto &y = acc[j];
+            if (!accumulate)
+                y.fill(0);
+            for (int r = 0; r < n; ++r) {
+                std::int32_t sum = 0;
+                for (int c = 0; c < n; ++c) {
+                    sum += static_cast<std::int32_t>(
+                               installed[static_cast<std::size_t>(r) *
+                                             kMxmDim +
+                                         static_cast<std::size_t>(c)]) *
+                           static_cast<std::int8_t>(
+                               acts[j].bytes[static_cast<std::size_t>(c)]);
+                }
+                y[static_cast<std::size_t>(r)] += sum;
+            }
+        }
+        ticks += acts.size();
+    }
+
+    /** Drains @p k accumulators and compares them with the copies. */
+    void
+    expectDrain(int k, const std::string &what)
+    {
+        const auto got = h.drain(k);
+        for (int j = 0; j < k; ++j) {
+            for (int r = 0; r < kMxmDim; ++r) {
+                ASSERT_EQ(got[static_cast<std::size_t>(j)]
+                             [static_cast<std::size_t>(r)],
+                          acc[static_cast<std::size_t>(j)]
+                             [static_cast<std::size_t>(r)])
+                    << what << ": accumulator " << j << " row " << r;
+            }
+        }
+        // The modelled MACC count is the full n x n per tick.
+        const auto n =
+            static_cast<std::uint64_t>(h.cfg_.vectorLength());
+        EXPECT_EQ(h.plane_.maccOps(), ticks * n * n) << what;
+    }
+
+    MxmHarness h;
+    std::vector<std::int8_t> staged;
+    std::vector<std::int8_t> installed;
+    std::vector<std::array<std::int32_t, kMxmDim>> acc;
+    std::uint64_t ticks = 0;
+};
+
+TEST(Mxm, LiveBlockTilesMatchFullTileReference)
+{
+    ShadowPlane p;
+    p.window(randomActs(2, 1), false);
+    p.expectDrain(2, "never installed");
+
+    p.stage(blockTile(kMxmDim, kMxmDim, 2), kMxmDim);
+    p.install();
+    p.window(randomActs(3, 3), false);
+    p.expectDrain(3, "full tile");
+
+    // Rows 16..319 keep the full tile's weights and stay live.
+    p.stage(blockTile(16, 40, 4), 16);
+    p.install();
+    p.window(randomActs(2, 5), false);
+    p.expectDrain(2, "16 rows over a full tile");
+
+    p.stage(blockTile(0, 0, 6), kMxmDim);
+    p.install();
+    p.window(randomActs(2, 7), false);
+    p.expectDrain(2, "all-zero tile");
+
+    // Live columns off the 32- and 64-lane chunk grids.
+    for (const int cols : {1, 8, 13, 33, 65, 100, 319}) {
+        p.stage(blockTile(16, cols, 100 + static_cast<unsigned>(cols)),
+                16);
+        p.install();
+        p.window(randomActs(2, 200 + static_cast<unsigned>(cols)),
+                 false);
+        p.expectDrain(2, "16 rows x " + std::to_string(cols) +
+                             " columns");
+    }
+
+    // Live rows off the 4-row VNNI grid.
+    p.stage(blockTile(23, 70, 9), 32);
+    p.install();
+    p.window(randomActs(2, 10), false);
+    p.expectDrain(2, "23 rows x 70 columns");
+}
+
+TEST(Mxm, AccumulateWindowSpansTwoInstalls)
+{
+    // Conv taps: the first tap's window overwrites, the next taps'
+    // windows accumulate into the same accumulators over tiles with
+    // different live blocks, and one drain reads the sum.
+    ShadowPlane p;
+    p.stage(blockTile(48, 24, 11), kMxmDim);
+    p.install();
+    p.window(randomActs(4, 12), false);
+    p.stage(blockTile(16, 100, 13), kMxmDim);
+    p.install();
+    p.window(randomActs(4, 14), true);
+    p.stage(blockTile(kMxmDim, 8, 15), kMxmDim);
+    p.install();
+    p.window(randomActs(4, 16), true);
+    p.expectDrain(4, "three taps");
+}
+
+TEST(Mxm, LiveBlockHonoursActiveSuperlanes)
+{
+    // Fewer lanes than a kernel chunk grid allows: the live block is
+    // capped at n and a kernel declines what it can't chunk. Weights
+    // past the active lanes are ignored on every path.
+    for (const int superlanes : {10, 7, 5, 1}) {
+        ChipConfig cfg;
+        cfg.activeSuperlanes = superlanes;
+        ShadowPlane p(cfg);
+        const std::string tag =
+            std::to_string(superlanes) + " superlanes";
+        const auto seed = static_cast<std::uint64_t>(superlanes);
+        p.stage(blockTile(kMxmDim, kMxmDim, 20 + seed), kMxmDim);
+        p.install();
+        p.window(randomActs(2, 30 + seed), false);
+        p.expectDrain(2, tag + ", full tile");
+
+        p.stage(blockTile(24, 50, 40 + seed), kMxmDim);
+        p.install();
+        p.window(randomActs(2, 50 + seed), false);
+        p.stage(blockTile(100, 130, 60 + seed), kMxmDim);
+        p.install();
+        p.window(randomActs(2, 70 + seed), true);
+        p.expectDrain(2, tag + ", two taps");
+    }
+}
+
+TEST(Mxm, RestoreBetweenLwAndIwMatchesUninterruptedRun)
+{
+    // Installed: 16 rows x 300 columns. Staged over it, not yet
+    // installed: 16 rows x 8 columns. The two buffers differ in
+    // contents and in live block, so the restored plane must take its
+    // live block from the installed tile and commit every staged row
+    // at the next IW.
+    ShadowPlane ref;
+    ref.stage(blockTile(16, 300, 41), 16);
+    ref.install();
+    ref.stage(blockTile(16, 8, 42), 16);
+    ASSERT_EQ(ref.h.plane_.stagedRows(), 16);
+
+    SnapshotWriter w;
+    ref.h.fabric_.saveState(w);
+    ref.h.plane_.saveState(w);
+    ShadowPlane restored;
+    SnapshotReader r(w.buffer());
+    restored.h.fabric_.loadState(r);
+    restored.h.plane_.loadState(r);
+    ASSERT_TRUE(r.atEnd());
+    restored.staged = ref.staged;
+    restored.installed = ref.installed;
+    EXPECT_EQ(restored.h.plane_.stagedRows(), 16);
+
+    for (ShadowPlane *p : {&ref, &restored}) {
+        const std::string what =
+            p == &ref ? "uninterrupted" : "restored";
+        p->window(randomActs(2, 43), false); // Still the old tile.
+        p->install();
+        p->window(randomActs(2, 44), true);
+        p->expectDrain(2, what);
+    }
+    SnapshotWriter a;
+    SnapshotWriter b;
+    ref.h.plane_.saveState(a);
+    restored.h.plane_.saveState(b);
+    EXPECT_EQ(a.buffer(), b.buffer());
 }
 
 } // namespace

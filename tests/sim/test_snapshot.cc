@@ -526,6 +526,53 @@ TEST(SessionSnapshot, MigrateAndResumeRecoversMachineCheck)
     EXPECT_EQ(sess.readTensor(m.out()).data, want.data);
 }
 
+TEST(SessionSnapshot, RestoreBetweenLwAndIwMatchesUninterruptedRun)
+{
+    // Cuts where an MXM plane holds LW-staged weight rows its IW has
+    // not installed yet: the restored chip must commit every staged
+    // row at that IW, not only the rows written after the restore.
+    Compiled m;
+    InferenceSession ref(m.lw, ChipConfig{});
+    ASSERT_TRUE(ref.runBounded().completed);
+    const ref::QTensor want = ref.readTensor(m.out());
+
+    std::vector<Cycle> staged;
+    {
+        InferenceSession probe(m.lw, configFor(false));
+        Chip &chip = probe.chip();
+        while (!chip.done()) {
+            chip.step();
+            for (int p = 0; p < kMxmPlanes; ++p) {
+                if (chip.mxm(p).stagedRows() > 0) {
+                    staged.push_back(chip.now());
+                    break;
+                }
+            }
+        }
+    }
+    ASSERT_FALSE(staged.empty());
+
+    for (const Cycle cut : {staged.front(), staged[staged.size() / 2],
+                            staged.back()}) {
+        for (const bool ff : {false, true}) {
+            InferenceSession src(m.lw, configFor(ff));
+            EXPECT_FALSE(src.chip().runBounded(cut));
+            ASSERT_EQ(src.chip().now(), cut);
+            ChipSnapshot snap;
+            std::string err;
+            ASSERT_TRUE(src.chip().snapshot(snap, &err)) << err;
+
+            InferenceSession dst(m.lw, configFor(ff));
+            ASSERT_TRUE(dst.chip().restore(snap, &err)) << err;
+            dst.chip().run();
+            EXPECT_EQ(dst.chip().now(), ref.chip().now()) << cut;
+            EXPECT_EQ(dst.chip().stats().all(), ref.chip().stats().all())
+                << cut;
+            EXPECT_EQ(dst.readTensor(m.out()).data, want.data) << cut;
+        }
+    }
+}
+
 /** Binds and loads a ring all-reduce on @p sess, then stages seeded
  *  local vectors on every member. */
 void
