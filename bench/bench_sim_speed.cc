@@ -37,6 +37,7 @@
 #include <string>
 
 #include "arch/layout.hh"
+#include "c2c/collective.hh"
 #include "bench_util.hh"
 #include "common/cpu.hh"
 #include "common/rng.hh"
@@ -192,6 +193,51 @@ BM_FabricAdvanceBy64(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FabricAdvanceBy64);
+
+/**
+ * One request's rearm: InferenceSession::reset() after a completed
+ * run, which left vectors flowing on the streams (the run itself is
+ * untimed). tiny_net: a one-chip session over the tiny conv net
+ * (program reload plus DMA image restage); pod2: a 2-chip ring
+ * all-reduce pod (program reload on both members).
+ */
+void
+BM_SessionReset(benchmark::State &state, bool pod)
+{
+    Graph g = model::buildTinyNet(3, 8, 8, 4);
+    Rng rng(7);
+    std::vector<std::int8_t> input(8 * 8 * 4);
+    for (auto &v : input)
+        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
+    Lowering lw(true);
+    g.lower(lw, input);
+
+    std::unique_ptr<InferenceSession> sess;
+    if (pod) {
+        sess = std::make_unique<InferenceSession>(2, /*wire=*/17);
+        std::vector<ScheduledProgram> sched;
+        buildRingAllReduce(sess->pod(), sched);
+        InferenceSession::Programs progs;
+        for (auto &p : sched)
+            progs.push_back(std::make_shared<const AsmProgram>(p.toAsm()));
+        sess->bind(std::move(progs));
+        sess->reset();
+    } else {
+        sess = std::make_unique<InferenceSession>(lw);
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        sess->run();
+        state.ResumeTiming();
+        sess->reset();
+    }
+}
+BENCHMARK_CAPTURE(BM_SessionReset, tiny_net, false)
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SessionReset, pod2, true)
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
 
 /** One timed end-to-end simulation of @p lw. */
 struct E2eRun

@@ -3,15 +3,26 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "mem/ecc.hh"
 #include "sim/chip.hh"
 
 namespace tsp {
 
 void
+HostImage::push(Entry e)
+{
+    Vec320 v;
+    v.bytes = e.bytes;
+    eccComputeVec(v);
+    e.ecc = v.ecc;
+    entries_.push_back(std::move(e));
+}
+
+void
 HostImage::add(const GlobalAddr &addr,
                const std::array<std::uint8_t, kLanes> &bytes)
 {
-    entries_.push_back({addr, bytes});
+    push({addr, bytes});
 }
 
 void
@@ -25,7 +36,7 @@ HostImage::addInt8(const GlobalAddr &addr, const std::int8_t *values,
     for (int i = 0; i < count; ++i)
         e.bytes[static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(values[i]);
-    entries_.push_back(std::move(e));
+    push(std::move(e));
 }
 
 void
@@ -42,7 +53,7 @@ HostImage::addInt32Quad(const GlobalAddr quad[4],
             e.bytes[static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
         }
-        entries_.push_back(std::move(e));
+        push(std::move(e));
     }
 }
 
@@ -61,7 +72,7 @@ HostImage::addFp32Quad(const GlobalAddr quad[4], const float *values,
             e.bytes[static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
         }
-        entries_.push_back(std::move(e));
+        push(std::move(e));
     }
 }
 
@@ -69,9 +80,8 @@ void
 HostImage::applyTo(Chip &chip) const
 {
     for (const Entry &e : entries_) {
-        Vec320 v;
-        v.bytes = e.bytes;
-        chip.mem(e.addr.hem, e.addr.slice).backdoorWrite(e.addr.addr, v);
+        chip.mem(e.addr.hem, e.addr.slice)
+            .backdoorWriteEncoded(e.addr.addr, e.bytes, e.ecc);
     }
 }
 

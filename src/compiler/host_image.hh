@@ -23,11 +23,16 @@ class Chip;
 class HostImage
 {
   public:
-    /** One 320-byte word destined for one address. */
+    /**
+     * One 320-byte word destined for one address, with its SECDED
+     * check bits computed once when the word is queued (the image is
+     * restaged on every rearm; its words never change).
+     */
     struct Entry
     {
         GlobalAddr addr;
         std::array<std::uint8_t, kLanes> bytes;
+        std::array<std::uint16_t, kSuperlanes> ecc{};
     };
 
     /** Queues a full 320-byte word. */
@@ -59,10 +64,17 @@ class HostImage
         return entries_.size() * kLanes;
     }
 
-    /** Writes every entry into @p chip via backdoor DMA. */
+    /**
+     * Writes every entry into @p chip via backdoor DMA: the stored
+     * words and check bits equal a MemSlice::backdoorWrite() of each
+     * entry's bytes, with or without ECC.
+     */
     void applyTo(Chip &chip) const;
 
   private:
+    /** Queues @p e after encoding its check bits (every add path). */
+    void push(Entry e);
+
     std::vector<Entry> entries_;
 };
 

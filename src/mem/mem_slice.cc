@@ -279,6 +279,19 @@ MemSlice::backdoorWrite(MemAddr addr, const Vec320 &vec)
     }
 }
 
+void
+MemSlice::backdoorWriteEncoded(
+    MemAddr addr, const std::array<std::uint8_t, kLanes> &bytes,
+    const std::array<std::uint16_t, kSuperlanes> &ecc)
+{
+    Word &w = wordAt(addr);
+    w.bytes = bytes;
+    if (eccEnabled_)
+        w.ecc = ecc;
+    else
+        w.ecc.fill(0);
+}
+
 Vec320
 MemSlice::backdoorRead(MemAddr addr) const
 {

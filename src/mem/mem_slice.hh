@@ -108,6 +108,16 @@ class MemSlice
     /** Untimed backdoor write used by host DMA; regenerates ECC. */
     void backdoorWrite(MemAddr addr, const Vec320 &vec);
 
+    /**
+     * backdoorWrite() of a word whose SECDED code @p ecc the caller
+     * already computed (a pre-encoded DMA image): stores @p bytes
+     * and, with ECC on, @p ecc; with ECC off a zero code — exactly
+     * what backdoorWrite() stores for a vector carrying no code.
+     */
+    void backdoorWriteEncoded(
+        MemAddr addr, const std::array<std::uint8_t, kLanes> &bytes,
+        const std::array<std::uint16_t, kSuperlanes> &ecc);
+
     /** Untimed backdoor read used by host DMA and tests. */
     Vec320 backdoorRead(MemAddr addr) const;
 

@@ -47,7 +47,16 @@ void
 InferenceSession::bind(Lowering &lw,
                        std::shared_ptr<const AsmProgram> prog)
 {
-    bind(Programs{std::move(prog)});
+    const std::uint64_t hash = hashProgram(*prog);
+    bind(lw, std::move(prog), hash);
+}
+
+void
+InferenceSession::bind(Lowering &lw,
+                       std::shared_ptr<const AsmProgram> prog,
+                       std::uint64_t hash)
+{
+    bind(Programs{std::move(prog)}, {hash});
     lw_ = &lw;
     dmaSeconds_ =
         static_cast<double>(lw.image().totalBytes()) / kPcieGen4Bps;
@@ -56,8 +65,28 @@ InferenceSession::bind(Lowering &lw,
 void
 InferenceSession::bind(Programs programs)
 {
+    std::vector<std::uint64_t> hashes = hashesOf(programs);
+    bind(std::move(programs), std::move(hashes));
+}
+
+std::vector<std::uint64_t>
+InferenceSession::hashesOf(const Programs &programs)
+{
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(programs.size());
+    for (const auto &p : programs)
+        hashes.push_back(hashProgram(*p));
+    return hashes;
+}
+
+void
+InferenceSession::bind(Programs programs,
+                       std::vector<std::uint64_t> hashes)
+{
     TSP_ASSERT(static_cast<int>(programs.size()) == pod_->size());
+    TSP_ASSERT(hashes.size() == programs.size());
     progs_ = std::move(programs);
+    hashes_ = std::move(hashes);
     lw_ = nullptr;
     dmaSeconds_ = 0.0;
     // The members still hold the previous programs and image until
@@ -243,8 +272,10 @@ InferenceSession::rebuiltPod() const
 void
 InferenceSession::loadPrograms(Pod &pod) const
 {
-    for (int c = 0; c < pod.size(); ++c)
-        pod.chip(c).loadProgram(*progs_.at(static_cast<std::size_t>(c)));
+    for (int c = 0; c < pod.size(); ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        pod.chip(c).loadProgram(*progs_.at(i), hashes_.at(i));
+    }
 }
 
 void

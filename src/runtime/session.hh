@@ -106,11 +106,26 @@ class InferenceSession
     void bind(Lowering &lw, std::shared_ptr<const AsmProgram> prog);
 
     /**
+     * Same, with @p hash = hashProgram(*@p prog) computed by the
+     * caller (e.g. BatchProgram::progHash at compile time). Every
+     * reset() loads the program under this hash, so a rearm never
+     * rehashes it.
+     */
+    void bind(Lowering &lw, std::shared_ptr<const AsmProgram> prog,
+              std::uint64_t hash);
+
+    /**
      * Binds one program per member (no DMA image). Takes effect at
      * the next reset(). Memory contents survive only when no rebuild
      * intervenes; restage inputs after every reset().
      */
     void bind(Programs programs);
+
+    /** Same, with @p hashes = hashesOf(@p programs) precomputed. */
+    void bind(Programs programs, std::vector<std::uint64_t> hashes);
+
+    /** @return hashProgram() of each of @p programs, in order. */
+    static std::vector<std::uint64_t> hashesOf(const Programs &programs);
 
     /**
      * Runs to completion; @return cycles consumed by this run.
@@ -306,6 +321,8 @@ class InferenceSession
     /** Cached assemblies (with barrier preamble for a lowered model);
      *  shareable. */
     Programs progs_;
+    /** hashProgram() of each bound program, computed once per bind. */
+    std::vector<std::uint64_t> hashes_;
     /** The lowered model whose DMA image reset() re-applies to member
      *  0, or null. */
     Lowering *lw_ = nullptr;

@@ -25,7 +25,7 @@ SessionBackendBase::correctedErrors() const
     std::uint64_t n = 0;
     const Pod &pod = sess_.pod();
     for (int c = 0; c < pod.size(); ++c)
-        n += pod.chip(c).stats().get("ecc_corrected");
+        n += pod.chip(c).eccCorrected();
     return n;
 }
 
@@ -41,11 +41,12 @@ SessionBackendBase::machineCheckCount() const
 
 SessionBackend::SessionBackend(std::shared_ptr<BatchProgram> initial,
                                int max_batch, ChipConfig cfg)
-    : SessionBackendBase(
-          InferenceSession(*initial->lw, initial->prog, cfg)),
-      boundBp_(std::move(initial)), maxBatch_(max_batch)
+    : SessionBackendBase(InferenceSession(1, 0, cfg)),
+      maxBatch_(max_batch)
 {
     TSP_ASSERT(max_batch >= 1);
+    bindProgram(std::move(initial));
+    sess_.reset();
 }
 
 int
@@ -65,7 +66,7 @@ SessionBackend::bindProgram(std::shared_ptr<BatchProgram> bp)
     // session re-stages the new image (the weight swap the booking
     // already paid for).
     boundBp_ = std::move(bp);
-    sess_.bind(*boundBp_->lw, boundBp_->prog);
+    sess_.bind(*boundBp_->lw, boundBp_->prog, boundBp_->progHash);
 }
 
 std::size_t
@@ -125,9 +126,12 @@ PodBackend::PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
     TSP_ASSERT(max_batch >= 1 &&
                max_batch <= AllReducePlan::kMaxBatch);
     progs_.reserve(static_cast<std::size_t>(max_batch));
-    for (int b = 1; b <= max_batch; ++b)
+    hashes_.reserve(static_cast<std::size_t>(max_batch));
+    for (int b = 1; b <= max_batch; ++b) {
         progs_.push_back(allReducePrograms(sess_.pod(), b));
-    sess_.bind(progs_[0]);
+        hashes_.push_back(InferenceSession::hashesOf(progs_.back()));
+    }
+    sess_.bind(progs_[0], hashes_[0]);
     sess_.reset();
 }
 
@@ -184,7 +188,8 @@ PodBackend::resetBatch(int batch)
 {
     TSP_ASSERT(batch >= 1 && batch <= maxBatch());
     if (batch != bound_) {
-        sess_.bind(progs_[static_cast<std::size_t>(batch - 1)]);
+        const auto i = static_cast<std::size_t>(batch - 1);
+        sess_.bind(progs_[i], hashes_[i]);
         bound_ = batch;
     }
     sess_.reset();

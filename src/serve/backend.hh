@@ -303,6 +303,8 @@ class PodBackend final : public SessionBackendBase
   private:
     /** progs_[b-1]: the compiled batch-b collective. */
     std::vector<InferenceSession::Programs> progs_;
+    /** hashes_[b-1]: hashesOf(progs_[b-1]), hashed once. */
+    std::vector<std::vector<std::uint64_t>> hashes_;
     int bound_ = 1; ///< Batch size currently bound.
 };
 

@@ -74,6 +74,12 @@ Chip::sxm(Hemisphere hem) const
 void
 Chip::loadProgram(const AsmProgram &program)
 {
+    loadProgram(program, hashProgram(program));
+}
+
+void
+Chip::loadProgram(const AsmProgram &program, std::uint64_t hash)
+{
     for (auto &q : queues_)
         q.loadProgram({});
     for (const auto &[icu_id, insts] : program.queues) {
@@ -86,7 +92,7 @@ Chip::loadProgram(const AsmProgram &program)
     // a fresh one (session reuse determinism).
     barrier_.clear();
     lastStepQuiet_ = true;
-    programHash_ = hashProgram(program);
+    programHash_ = hash;
 }
 
 void
@@ -575,6 +581,20 @@ Chip::totalMaccOps() const
     return total;
 }
 
+std::uint64_t
+Chip::eccCorrected() const
+{
+    std::uint64_t n =
+        memIo_->correctedErrors() + vxm_->io().correctedErrors();
+    for (const auto &m : memSlices_)
+        n += m.correctedErrors();
+    for (const auto &s : sxm_)
+        n += s->io().correctedErrors();
+    for (const auto &p : mxm_)
+        n += p->io().correctedErrors();
+    return n;
+}
+
 StatGroup
 Chip::stats() const
 {
@@ -625,9 +645,7 @@ Chip::stats() const
     g.set("ecc_uncorrectable_sxm", sxm_unc);
     g.set("ecc_corrected_mxm", mxm_cor);
     g.set("ecc_uncorrectable_mxm", mxm_unc);
-    g.set("ecc_corrected", sram_cor + memIo_->correctedErrors() +
-                               vxm_->io().correctedErrors() + sxm_cor +
-                               mxm_cor);
+    g.set("ecc_corrected", eccCorrected());
     g.set("ecc_uncorrectable",
           sram_unc + memIo_->uncorrectableErrors() +
               vxm_->io().uncorrectableErrors() + sxm_unc + mxm_unc);

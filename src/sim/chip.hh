@@ -51,7 +51,14 @@ class Chip
     /** @return the active configuration. */
     const ChipConfig &config() const { return cfg_; }
 
-    /** Loads a program into the instruction queues (replaces any). */
+    /**
+     * Loads a program into the instruction queues (replaces any).
+     * @p hash must be hashProgram(@p program): callers that rearm
+     * the same program per request hash it once and pass it in.
+     */
+    void loadProgram(const AsmProgram &program, std::uint64_t hash);
+
+    /** loadProgram() hashing @p program first. */
     void loadProgram(const AsmProgram &program);
 
     /** Advances one core-clock cycle. */
@@ -173,6 +180,13 @@ class Chip
 
     /** @return aggregate statistics across all units. */
     StatGroup stats() const;
+
+    /**
+     * @return single-bit errors corrected chip-wide (MEM SRAM, MEM
+     * port, VXM, SXM, MXM) — stats()'s "ecc_corrected", without
+     * building the stat map.
+     */
+    std::uint64_t eccCorrected() const;
 
     /** @return total instructions dispatched chip-wide. */
     std::uint64_t totalDispatched() const;

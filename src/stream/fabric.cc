@@ -334,7 +334,12 @@ StreamFabric::loadState(SnapshotReader &r)
 void
 StreamFabric::clear()
 {
+    // validInRing counts a ring's valid slots exactly, so a ring at 0
+    // has nothing to invalidate: a rearm pays for what the last run
+    // left in flight, not for every slot on the chip.
     for (auto &ring : rings_) {
+        if (ring.validInRing == 0)
+            continue;
         for (auto &e : ring.slots)
             e.valid = false;
         ring.validInRing = 0;

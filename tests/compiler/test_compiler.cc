@@ -2,12 +2,17 @@
  * @file
  * Compiler infrastructure: schedule lowering with NOP padding and the
  * MEM dual-issue co-issue path, over-booking panics, the memory
- * allocator's bank/striping behavior, and the schedule dump formats.
+ * allocator's bank/striping behavior, the schedule dump formats, and
+ * the pre-encoded host DMA image.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.hh"
 #include "compiler/builder.hh"
+#include "compiler/host_image.hh"
 #include "compiler/mem_alloc.hh"
 #include "compiler/schedule.hh"
 #include "sim/chip.hh"
@@ -216,6 +221,114 @@ TEST(Schedule, RepeatCompressionPreservesExecution)
     EXPECT_EQ(r0, 12u);
     EXPECT_EQ(r1, 7u);
     EXPECT_EQ(cycles, 40u + 3 * 6 + 1);
+}
+
+/**
+ * Applies @p image to one chip and a per-word backdoorWrite() of each
+ * entry's bytes to another, and expects every stored word — data and
+ * SECDED check bits — to match, with ECC on and off.
+ */
+void
+expectImageMatchesBackdoorWrites(const HostImage &image)
+{
+    ASSERT_FALSE(image.entries().empty());
+    for (const bool ecc : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "ecc " << ecc);
+        ChipConfig cfg;
+        cfg.eccEnabled = ecc;
+        Chip dma(cfg), ref(cfg);
+        image.applyTo(dma);
+        for (const HostImage::Entry &e : image.entries()) {
+            Vec320 v;
+            v.bytes = e.bytes;
+            ref.mem(e.addr.hem, e.addr.slice).backdoorWrite(e.addr.addr, v);
+        }
+        for (const HostImage::Entry &e : image.entries()) {
+            const Vec320 got =
+                dma.mem(e.addr.hem, e.addr.slice).backdoorRead(e.addr.addr);
+            const Vec320 want =
+                ref.mem(e.addr.hem, e.addr.slice).backdoorRead(e.addr.addr);
+            EXPECT_EQ(got.bytes, want.bytes) << e.addr.toString();
+            EXPECT_EQ(got.ecc, want.ecc) << e.addr.toString();
+            // Seeded nonzero data: a skipped encode cannot pass as 0.
+            const bool coded = got.ecc != decltype(got.ecc){};
+            EXPECT_EQ(coded, ecc) << e.addr.toString();
+        }
+    }
+}
+
+/** Four consecutive word addresses of one slice (a ConstQuad). */
+void
+quadAt(GlobalAddr quad[4], Hemisphere hem, int slice, MemAddr base)
+{
+    for (int k = 0; k < 4; ++k)
+        quad[k] = {hem, slice, static_cast<MemAddr>(base + k)};
+}
+
+TEST(HostImage, AddPreEncodesLikeBackdoorWrite)
+{
+    Rng rng(31);
+    HostImage image;
+    for (int w = 0; w < 3; ++w) {
+        std::array<std::uint8_t, kLanes> bytes{};
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng.intIn(1, 255));
+        image.add({Hemisphere::West, 3 + w, static_cast<MemAddr>(0x40)},
+                  bytes);
+    }
+    expectImageMatchesBackdoorWrites(image);
+}
+
+TEST(HostImage, AddInt8PreEncodesLikeBackdoorWrite)
+{
+    Rng rng(32);
+    HostImage image;
+    for (const int count : {kLanes, 17, 1}) {
+        std::vector<std::int8_t> v(static_cast<std::size_t>(count));
+        for (auto &x : v)
+            x = static_cast<std::int8_t>(rng.intIn(1, 127));
+        image.addInt8({Hemisphere::East, 5, static_cast<MemAddr>(count)},
+                      v.data(), count);
+    }
+    expectImageMatchesBackdoorWrites(image);
+}
+
+TEST(HostImage, AddInt32QuadPreEncodesLikeBackdoorWrite)
+{
+    Rng rng(33);
+    HostImage image;
+    for (const int count : {kLanes, 40}) {
+        std::vector<std::int32_t> v(static_cast<std::size_t>(count));
+        // Every byte of every lane nonzero, so all four words carry
+        // data in every superlane the count reaches.
+        for (auto &x : v)
+            x = static_cast<std::int32_t>(0x01010101u *
+                                          static_cast<std::uint32_t>(
+                                              rng.intIn(1, 127)));
+        GlobalAddr quad[4];
+        quadAt(quad, Hemisphere::West, 9, static_cast<MemAddr>(8 * count));
+        image.addInt32Quad(quad, v.data(), count);
+    }
+    expectImageMatchesBackdoorWrites(image);
+}
+
+TEST(HostImage, AddFp32QuadPreEncodesLikeBackdoorWrite)
+{
+    Rng rng(34);
+    HostImage image;
+    for (const int count : {kLanes, 25}) {
+        std::vector<float> v(static_cast<std::size_t>(count));
+        for (auto &x : v) {
+            // Nonzero in all four bytes of the fp32 encoding.
+            const std::uint32_t bits =
+                0x3f010101u + static_cast<std::uint32_t>(rng.intIn(0, 0x7f));
+            std::memcpy(&x, &bits, sizeof(x));
+        }
+        GlobalAddr quad[4];
+        quadAt(quad, Hemisphere::East, 11, static_cast<MemAddr>(8 * count));
+        image.addFp32Quad(quad, v.data(), count);
+    }
+    expectImageMatchesBackdoorWrites(image);
 }
 
 } // namespace

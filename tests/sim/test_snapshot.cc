@@ -573,6 +573,47 @@ TEST(SessionSnapshot, RestoreBetweenLwAndIwMatchesUninterruptedRun)
     }
 }
 
+TEST(SessionSnapshot, RestoreRefusesAnotherBoundProgram)
+{
+    // reset() loads each program under the hash bound with it, and
+    // that hash is what restore() checks: after a rebind, a snapshot
+    // of the previous program must be refused, and accepted again
+    // once that program is bound back.
+    Compiled m;
+    const auto prog = std::make_shared<const AsmProgram>(
+        m.lw.program().toAsm(/*with_preamble=*/true));
+    Graph g2 = model::buildTinyNet(4, 6, 6, 4);
+    Lowering lw2(true);
+    Rng rng(8);
+    std::vector<std::int8_t> in2(6 * 6 * 4);
+    for (auto &v : in2)
+        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
+    g2.lower(lw2, in2);
+    const auto prog2 = std::make_shared<const AsmProgram>(
+        lw2.program().toAsm(/*with_preamble=*/true));
+
+    InferenceSession ref(m.lw, prog);
+    ASSERT_TRUE(ref.runBounded().completed);
+    InferenceSession src(m.lw, prog);
+    EXPECT_FALSE(src.chip().runBounded(400));
+    ChipSnapshot snap;
+    std::string err;
+    ASSERT_TRUE(src.chip().snapshot(snap, &err)) << err;
+
+    InferenceSession dst(m.lw, prog);
+    dst.bind(lw2, prog2, hashProgram(*prog2));
+    dst.reset();
+    EXPECT_FALSE(dst.chip().restore(snap, &err));
+    EXPECT_NE(err.find("program mismatch"), std::string::npos) << err;
+
+    dst.bind(m.lw, prog, hashProgram(*prog));
+    dst.reset();
+    ASSERT_TRUE(dst.chip().restore(snap, &err)) << err;
+    dst.chip().run();
+    EXPECT_EQ(dst.chip().now(), ref.chip().now());
+    EXPECT_EQ(dst.readTensor(m.out()).data, ref.readTensor(m.out()).data);
+}
+
 /** Binds and loads a ring all-reduce on @p sess, then stages seeded
  *  local vectors on every member. */
 void
