@@ -253,7 +253,7 @@ InferenceSession::runRaw(Cycle max_cycles)
 }
 
 std::unique_ptr<Pod>
-InferenceSession::rebuiltPod() const
+InferenceSession::rebuiltPod(int members, Cycle wire) const
 {
     // Soft errors are environmental, not part of the schedule, so a
     // rebuilt engine draws a derived fault seed — a retry of the same
@@ -265,8 +265,7 @@ InferenceSession::rebuiltPod() const
     cfg.fault.seed =
         deriveSeed(cfg_.fault.seed, SeedDomain::EngineRebuild,
                    static_cast<std::uint64_t>(rebuilds_));
-    return std::make_unique<Pod>(pod_->size(), pod_->wireLatency(),
-                                 cfg);
+    return std::make_unique<Pod>(members, wire, cfg);
 }
 
 void
@@ -288,7 +287,13 @@ InferenceSession::reset()
         // partial: only a whole fresh engine is trustworthy.
         ++rebuilds_;
         retiredCycles_ = totalCycles(); // Retires every member clock.
-        pod_ = rebuiltPod();
+        // Free the condemned engine before building its replacement:
+        // the fresh one then reuses that memory instead of faulting in
+        // megabytes of new pages on every rebuild.
+        const int members = pod_->size();
+        const Cycle wire = pod_->wireLatency();
+        pod_.reset();
+        pod_ = rebuiltPod(members, wire);
         timedOut_ = false;
         machineChecked_ = false;
     }
@@ -306,7 +311,8 @@ InferenceSession::migrateAndResume(Cycle max_cycles)
     // Same rebuild discipline as reset() after a machine check.
     ++rebuilds_;
     ++migrations_;
-    std::unique_ptr<Pod> fresh = rebuiltPod();
+    std::unique_ptr<Pod> fresh =
+        rebuiltPod(pod_->size(), pod_->wireLatency());
     loadPrograms(*fresh);
     if (!fresh->restore(*lastSnap_)) {
         // Same programs, config and fault environment, so this cannot

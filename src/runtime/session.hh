@@ -297,9 +297,10 @@ class InferenceSession
     /** Loads every member's bound program onto @p pod. */
     void loadPrograms(Pod &pod) const;
 
-    /** @return a fresh pod whose fault seed derives from the rebuild
-     *  count (counted by the caller). */
-    std::unique_ptr<Pod> rebuiltPod() const;
+    /** @return a fresh pod of @p members chips and @p wire cycles of
+     *  link latency whose fault seed derives from the rebuild count
+     *  (counted by the caller). */
+    std::unique_ptr<Pod> rebuiltPod(int members, Cycle wire) const;
 
     /** The plain Pod::runAllBounded() path, chunked when armed. */
     RunResult runRaw(Cycle max_cycles);

@@ -197,11 +197,7 @@ InferenceServer::sealOpenLocked()
             metrics_.record(r);
         }
         resolveMember(m, std::move(r));
-        {
-            std::lock_guard<std::mutex> lock(doneMu_);
-            --inflight_;
-        }
-        doneCv_.notify_all();
+        retireInflight(1);
     }
 }
 
@@ -486,11 +482,7 @@ InferenceServer::requeueVictimLocked(Member v, int vmodel, int vprio,
             metrics_.record(r);
         }
         resolveMember(v, std::move(r));
-        {
-            std::lock_guard<std::mutex> dl(doneMu_);
-            --inflight_;
-        }
-        doneCv_.notify_all();
+        retireInflight(1);
         ++shed;
         return;
     }
@@ -698,11 +690,20 @@ InferenceServer::finishBatch(BatchJob &job,
     const std::size_t n = results.size();
     for (std::size_t i = 0; i < n; ++i)
         resolveMember(job.members[i], std::move(results[i]));
+    retireInflight(n);
+}
+
+void
+InferenceServer::retireInflight(std::uint64_t n)
+{
+    bool idle = false;
     {
         std::lock_guard<std::mutex> lock(doneMu_);
         inflight_ -= n;
+        idle = inflight_ == 0;
     }
-    doneCv_.notify_all();
+    if (idle)
+        doneCv_.notify_all();
 }
 
 void

@@ -435,6 +435,10 @@ class InferenceServer
     /** Seals + enqueues the open batch (requires submitMu_). */
     void sealOpenLocked();
     void finishBatch(BatchJob &job, std::vector<Result> results);
+    /** Retires @p n resolved members from inflight_ and wakes drain()
+     * once none remain. drain() is the only waiter and waits for
+     * zero, so a wake per batch would only bounce it back to sleep. */
+    void retireInflight(std::uint64_t n);
     /** @return the batch cap for @p model (config clamped to the
      * model's compiled sizes and every backend). */
     int effBatchMaxFor(int model) const;
